@@ -107,10 +107,10 @@ std::string CompilerBinary() {
 /// is single-quoted against spaces in build prefixes.
 int RunCompiler(const std::string& src, const std::string& so,
                 const std::string& err) {
-  std::string cmd = "'" + CompilerBinary() +
-                    "' -O2 -fPIC -shared -std=c++17 -fno-exceptions"
-                    " -fno-rtti -x c++ " +
-                    src + " -o " + so + " 2>" + err;
+  std::string cmd = "'";
+  cmd += CompilerBinary();
+  cmd += "' -O2 -fPIC -shared -std=c++17 -fno-exceptions -fno-rtti -x c++ ";
+  cmd += src + " -o " + so + " 2>" + err;
   return std::system(cmd.c_str());
 }
 

@@ -287,8 +287,8 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
         std::vector<Row> rows;
         rows.reserve(counts[0]);
         for (uint64_t k = 0; k < counts[0]; ++k) {
-          rows.push_back(ConcatRows(batch.storage_row(sel[s.pair_a[k]]),
-                                    build[s.pair_b[k]]));
+          rows.push_back(join_->keep().Concat(
+              batch.storage_row(sel[s.pair_a[k]]), build[s.pair_b[k]]));
         }
         BYPASS_RETURN_IF_ERROR(
             Emit(kPortOut, RowBatch::FromRows(std::move(rows))));

@@ -189,9 +189,16 @@ bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
   // of any projection copy layers. Every link must be unshared and feed
   // in-port 0 (the group-by's only input) — a fan-out keeps the plain
   // probe shape, whose pairs the compiled operator materializes for the
-  // join's own consumers.
+  // join's own consumers. A pruned join's keep lists are the first
+  // layer: its output slot i is probe-side slot keep.left()[i], and the
+  // build-side slots after those resolve to -1 (declined).
   std::vector<int> remap;
   bool have_remap = false;
+  if (const JoinKeep& keep = join->keep(); !keep.all()) {
+    remap = keep.left();
+    remap.resize(keep.left().size() + keep.right().size(), -1);
+    have_remap = true;
+  }
   PhysOp* cur = join;
   while (cur->num_consumers(kPortOut) == 1) {
     const auto edges = cur->consumers(kPortOut);

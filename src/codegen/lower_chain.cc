@@ -7,10 +7,19 @@
 #include <map>
 #include <sstream>
 
+#include "common/string_util.h"
 #include "types/value.h"
 
 namespace bypass {
 namespace {
+
+/// Emitted variable name of registered column `idx` ("c3"), built by
+/// appending (see Parenthesize for the GCC 12 -Wrestrict false positive).
+std::string ColumnVar(size_t idx) {
+  std::string name = "c";
+  name += std::to_string(idx);
+  return name;
+}
 
 // Nesting guard: predicate trees are planner-built and shallow, but the
 // emitter recurses, so cap depth instead of trusting that.
@@ -115,7 +124,7 @@ bool Emitter::ColumnOperand(const ColumnRefExpr& col, Operand* out) {
     slots_.push_back({slot, schema_.column(slot).type});
     slot_index_[slot] = idx;
   }
-  const std::string c = "c" + std::to_string(idx);
+  const std::string c = ColumnVar(idx);
   out->null = "(" + c + "n && ((" + c + "n[r >> 6] >> (r & 63)) & 1ull))";
   switch (slots_[idx].type) {
     case DataType::kInt64:
@@ -143,10 +152,11 @@ bool Emitter::ColumnOperand(const ColumnRefExpr& col, Operand* out) {
 
 bool Emitter::LiteralOperand(const LiteralExpr& lit, Operand* out) {
   const Value& v = lit.value();
-  out->null = "0";
+  // A moved temporary: assigning the literal in place trips GCC 12's
+  // false -Wrestrict (see Parenthesize).
+  out->null = std::string(v.is_null() ? "1" : "0");
   if (v.is_null()) {
     out->kind = Operand::kNull;
-    out->null = "1";
     return true;
   }
   if (v.is_int64()) {
@@ -155,7 +165,7 @@ bool Emitter::LiteralOperand(const LiteralExpr& lit, Operand* out) {
     // INT64_MIN has no literal spelling; -(9223372036854775808) overflows.
     out->val = (i == std::numeric_limits<int64_t>::min())
                    ? "(-9223372036854775807ll - 1)"
-                   : "(" + std::to_string(i) + "ll)";
+                   : Parenthesize(std::to_string(i) + "ll");
     return true;
   }
   if (v.is_double()) {
@@ -164,7 +174,7 @@ bool Emitter::LiteralOperand(const LiteralExpr& lit, Operand* out) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%a", d);  // hexfloat: exact round-trip
     out->kind = Operand::kF64;
-    out->val = "(" + std::string(buf) + ")";
+    out->val = Parenthesize(buf);
     return true;
   }
   if (v.is_bool()) {
@@ -175,7 +185,8 @@ bool Emitter::LiteralOperand(const LiteralExpr& lit, Operand* out) {
   if (v.is_string()) {
     const size_t idx = PoolString(v.string_value());
     out->kind = Operand::kStr;
-    out->ptr = "S" + std::to_string(idx);
+    out->ptr = "S";
+    out->ptr += std::to_string(idx);
     out->len = std::to_string(v.string_value().size()) + "ull";
     return true;
   }
@@ -443,7 +454,7 @@ const char* TypeCName(DataType t) {
 /// Column pointer declarations shared by both generations' preludes.
 void EmitColumnDecls(std::ostringstream& src, const Emitter& em) {
   for (size_t i = 0; i < em.slots().size(); ++i) {
-    const std::string c = "c" + std::to_string(i);
+    const std::string c = ColumnVar(i);
     const CgSlotUse& use = em.slots()[i];
     if (use.type == DataType::kString) {
       src << "  const u64* " << c << "o = b->cols[" << i << "].offsets;\n"
@@ -458,7 +469,7 @@ void EmitColumnDecls(std::ostringstream& src, const Emitter& em) {
 
 /// 0/1 expression for "row r's value in registered column `idx` is NULL".
 std::string NullBitExpr(size_t idx) {
-  const std::string c = "c" + std::to_string(idx);
+  const std::string c = ColumnVar(idx);
   return "((" + c + "n && ((" + c + "n[r >> 6] >> (r & 63)) & 1ull)) ? 1 "
          ": 0)";
 }
@@ -634,7 +645,7 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
   // (4294967295u = missed the snapshot). Mirrors FindOrEmplaceInt64's
   // probe loop: cached-hash compare, then key/null equality.
   auto group_key_and_probe = [&](std::ostringstream& os) {
-    const std::string c = "c" + std::to_string(gk);
+    const std::string c = ColumnVar(gk);
     os << "      const long long gkv = " << c << "[r];\n"
        << "      const int gnl = " << NullBitExpr(gk) << ";\n"
        << "      const u64 gh = gnl ? 0x7b4a5c8d9e2f1a6bull : "
@@ -660,7 +671,7 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
     for (size_t j = 0; j < terminal.aggs.size(); ++j) {
       const CgAggFold& a = terminal.aggs[j];
       if (a.star) continue;
-      const std::string c = "c" + std::to_string(argc[j]);
+      const std::string c = ColumnVar(argc[j]);
       const char* ty =
           a.type == DataType::kDouble ? "double" : "long long";
       os << "      const " << ty << " x" << j << " = " << c << "[r];\n"
@@ -713,7 +724,7 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
   // Join pass 1: filters + probe-key hashing into the caller's scratch
   // (run once per batch; capacity resumes re-enter at pass 2 only).
   auto join_pass1 = [&](std::ostringstream& os) {
-    const std::string c = "c" + std::to_string(jk);
+    const std::string c = ColumnVar(jk);
     os << "  if (start_row == 0) {\n"
        << "    for (u64 i = 0; i < n; ++i) {\n"
        << "      const u32 r = sel[i];\n"

@@ -31,6 +31,15 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
+std::string Parenthesize(std::string_view inner) {
+  std::string out;
+  out.reserve(inner.size() + 2);
+  out += '(';
+  out += inner;
+  out += ')';
+  return out;
+}
+
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;

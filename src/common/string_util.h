@@ -17,6 +17,10 @@ std::string ToUpper(std::string_view s);
 /// Case-insensitive ASCII equality.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
+/// "(" + inner + ")", built by appending: GCC 12 raises a false
+/// -Wrestrict on a one-character literal prefixed to a temporary string.
+std::string Parenthesize(std::string_view inner);
+
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);

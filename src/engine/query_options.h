@@ -56,18 +56,7 @@ inline const char* ExecutionStrategyToString(ExecutionStrategy s) {
 }
 
 struct QueryOptions {
-  QueryOptions() = default;
-  /// \deprecated Implicit strategy-to-options conversion predates the
-  /// serving API and hides an options object behind an enum at call
-  /// sites. Use the explicit factory `QueryOptions::With(strategy)`
-  /// instead; this constructor remains only for source compatibility
-  /// with older callers.
-  QueryOptions(ExecutionStrategy strategy) {  // NOLINT(runtime/explicit)
-    set_strategy(strategy);
-  }
-
-  /// Options preset to the given strategy — the explicit replacement for
-  /// the deprecated converting constructor above:
+  /// Options preset to the given strategy:
   ///   db.Query(sql, QueryOptions::With(ExecutionStrategy::kCanonical))
   static QueryOptions With(ExecutionStrategy strategy) {
     QueryOptions options;

@@ -53,6 +53,27 @@ size_t GracePartitionOf(const Row& row, const std::vector<int>& slots) {
 
 }  // namespace
 
+JoinKeep::JoinKeep(std::vector<int> left, std::vector<int> right,
+                   int left_width, int right_width)
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      input_width_(left_width + right_width) {
+  auto identity = [](const std::vector<int>& slots, int width) {
+    if (slots.size() != static_cast<size_t>(width)) return false;
+    for (int i = 0; i < width; ++i) {
+      if (slots[static_cast<size_t>(i)] != i) return false;
+    }
+    return true;
+  };
+  all_ = identity(left_, left_width) && identity(right_, right_width);
+}
+
+std::string JoinKeep::LabelSuffix() const {
+  if (input_width_ < 0) return "";
+  return " [cols " + std::to_string(left_.size() + right_.size()) + "/" +
+         std::to_string(input_width_) + "]";
+}
+
 void JoinHashTable::Clear() {
   slots_.clear();
   mask_ = 0;
@@ -495,7 +516,7 @@ Status HashJoinOp::ProbeGracePartitions() {
 Status HashJoinOp::EmitMatches(const Row& row, JoinMatches matches,
                                const std::vector<Row>& build_rows) {
   for (uint32_t idx : matches) {
-    Row joined = ConcatRows(row, build_rows[idx]);
+    Row joined = keep_.Concat(row, build_rows[idx]);
     if (residual_ != nullptr) {
       EvalContext ectx{&joined, ctx_->outer_row()};
       BYPASS_ASSIGN_OR_RETURN(Value v, residual_->Eval(ectx));
@@ -550,7 +571,7 @@ Status NLJoinOp::JoinAgainstRight(const Row& row) {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    Row joined = keep_.Concat(row, right);
     if (predicate_ != nullptr) {
       EvalContext ectx{&joined, ctx_->outer_row()};
       BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
@@ -580,7 +601,7 @@ Status BypassNLJoinOp::SplitAgainstRight(const Row& row) {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    Row joined = keep_.Concat(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
     BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
     const int port =

@@ -162,8 +162,54 @@ class JoinHashTable {
   bool int64_mode_ = false;
 };
 
+/// The columns a join's output rows keep, as slots of each input row:
+/// the planner's column-pruning keep lists (DESIGN.md §13). The default
+/// keeps every column of both inputs.
+class JoinKeep {
+ public:
+  JoinKeep() = default;
+  /// The input widths feed EXPLAIN's kept/total figure; identity lists
+  /// are recognized and take the plain concatenation path.
+  JoinKeep(std::vector<int> left, std::vector<int> right, int left_width,
+           int right_width);
+
+  /// The output row of the pair (left, right).
+  Row Concat(const Row& left, const Row& right) const {
+    return all_ ? ConcatRows(left, right)
+                : ConcatRowsProjected(left, left_, right, right_);
+  }
+
+  bool all() const { return all_; }
+  const std::vector<int>& left() const { return left_; }
+  const std::vector<int>& right() const { return right_; }
+
+  /// " [cols k/n]" once the planner set the lists; "" for the default.
+  std::string LabelSuffix() const;
+
+ private:
+  std::vector<int> left_;
+  std::vector<int> right_;
+  int input_width_ = -1;
+  bool all_ = true;
+};
+
+/// Base of the joins whose output rows concatenate a left and a right
+/// row (inner, bypass and left outer joins); they build every output row
+/// through keep().Concat, so unread columns are never copied.
+class ConcatJoinOp : public BinaryPhysOp {
+ public:
+  ConcatJoinOp() = default;
+  explicit ConcatJoinOp(int num_out_ports) : BinaryPhysOp(num_out_ports) {}
+
+  void set_keep(JoinKeep keep) { keep_ = std::move(keep); }
+  const JoinKeep& keep() const { return keep_; }
+
+ protected:
+  JoinKeep keep_;
+};
+
 /// Equi hash join (right = build side). Optional residual predicate over
-/// the concatenated row.
+/// the joined (kept-columns) row.
 ///
 /// Out-of-core: when the context carries a memory budget and a spill
 /// manager, a build side that cannot be charged switches the join into
@@ -172,7 +218,7 @@ class JoinHashTable {
 /// Output order then becomes partition-major (still deterministic for a
 /// fixed partition count); in-memory executions are byte-identical to
 /// the pre-spill behavior.
-class HashJoinOp : public BinaryPhysOp {
+class HashJoinOp : public ConcatJoinOp {
  public:
   HashJoinOp(std::vector<int> left_key_slots,
              std::vector<int> right_key_slots, ExprPtr residual)
@@ -182,7 +228,9 @@ class HashJoinOp : public BinaryPhysOp {
 
   Status Prepare(ExecContext* ctx) override;
   void Reset() override;
-  std::string Label() const override { return "HashJoin"; }
+  std::string Label() const override {
+    return "HashJoin" + keep_.LabelSuffix();
+  }
 
   // --- Codegen-tier surface (DESIGN.md §12): a compiled pipeline that
   //     fused this join's probe loop reads the build side through these
@@ -257,13 +305,14 @@ class HashJoinOp : public BinaryPhysOp {
 };
 
 /// Nested-loop join; null predicate = cross product.
-class NLJoinOp : public BinaryPhysOp {
+class NLJoinOp : public ConcatJoinOp {
  public:
   explicit NLJoinOp(ExprPtr predicate) : predicate_(std::move(predicate)) {}
 
   std::string Label() const override {
-    return predicate_ ? "NLJoin " + predicate_->ToString()
-                      : "CrossProduct";
+    return (predicate_ ? "NLJoin " + predicate_->ToString()
+                       : std::string("CrossProduct")) +
+           keep_.LabelSuffix();
   }
 
  protected:
@@ -279,14 +328,14 @@ class NLJoinOp : public BinaryPhysOp {
 
 /// Bypass nested-loop join ⋈±: positive port gets pairs satisfying the
 /// predicate, negative port the complement (e1 × e2 minus the matches).
-class BypassNLJoinOp : public BinaryPhysOp {
+class BypassNLJoinOp : public ConcatJoinOp {
  public:
   explicit BypassNLJoinOp(ExprPtr predicate)
-      : BinaryPhysOp(/*num_out_ports=*/2),
+      : ConcatJoinOp(/*num_out_ports=*/2),
         predicate_(std::move(predicate)) {}
 
   std::string Label() const override {
-    return "BypassNLJoin± " + predicate_->ToString();
+    return "BypassNLJoin± " + predicate_->ToString() + keep_.LabelSuffix();
   }
 
  protected:

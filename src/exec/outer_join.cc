@@ -24,11 +24,11 @@ Status HashLeftOuterJoinOp::BuildFromRight() {
 Status HashLeftOuterJoinOp::EmitPadded(const Row& row,
                                        JoinMatches matches) {
   if (matches.empty()) {
-    return EmitRow(kPortOut, ConcatRows(row, unmatched_right_));
+    return EmitRow(kPortOut, keep_.Concat(row, unmatched_right_));
   }
   for (uint32_t idx : matches) {
     BYPASS_RETURN_IF_ERROR(
-        EmitRow(kPortOut, ConcatRows(row, right_rows()[idx])));
+        EmitRow(kPortOut, keep_.Concat(row, right_rows()[idx])));
   }
   return Status::OK();
 }
@@ -56,7 +56,7 @@ Status NLLeftOuterJoinOp::JoinOrPad(const Row& row) {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    Row joined = keep_.Concat(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
     BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
     if (ValueToTriBool(v) != TriBool::kTrue) continue;
@@ -64,7 +64,7 @@ Status NLLeftOuterJoinOp::JoinOrPad(const Row& row) {
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
   }
   if (!matched) {
-    return EmitRow(kPortOut, ConcatRows(row, unmatched_right_));
+    return EmitRow(kPortOut, keep_.Concat(row, unmatched_right_));
   }
   return Status::OK();
 }

@@ -14,10 +14,11 @@
 namespace bypass {
 
 /// Equi left outer join (right = build side).
-class HashLeftOuterJoinOp : public BinaryPhysOp {
+class HashLeftOuterJoinOp : public ConcatJoinOp {
  public:
-  /// `unmatched_right` must have the right input's arity; it is appended
-  /// to left tuples without a join partner.
+  /// `unmatched_right` must have the right input's arity; it stands in
+  /// for the right row (through keep()) of left tuples without a join
+  /// partner.
   HashLeftOuterJoinOp(std::vector<int> left_key_slots,
                       std::vector<int> right_key_slots,
                       Row unmatched_right)
@@ -27,7 +28,9 @@ class HashLeftOuterJoinOp : public BinaryPhysOp {
 
   Status Prepare(ExecContext* ctx) override;
   void Reset() override;
-  std::string Label() const override { return "HashLeftOuterJoin"; }
+  std::string Label() const override {
+    return "HashLeftOuterJoin" + keep_.LabelSuffix();
+  }
 
  protected:
   Status BuildFromRight() override;
@@ -46,14 +49,15 @@ class HashLeftOuterJoinOp : public BinaryPhysOp {
 };
 
 /// Nested-loop left outer join for arbitrary predicates.
-class NLLeftOuterJoinOp : public BinaryPhysOp {
+class NLLeftOuterJoinOp : public ConcatJoinOp {
  public:
   NLLeftOuterJoinOp(ExprPtr predicate, Row unmatched_right)
       : predicate_(std::move(predicate)),
         unmatched_right_(std::move(unmatched_right)) {}
 
   std::string Label() const override {
-    return "NLLeftOuterJoin " + predicate_->ToString();
+    return "NLLeftOuterJoin " + predicate_->ToString() +
+           keep_.LabelSuffix();
   }
 
  protected:

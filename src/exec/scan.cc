@@ -16,6 +16,22 @@ Status TableScanOp::Prepare(ExecContext* ctx) {
   return Status::OK();
 }
 
+void TableScanOp::set_decode_columns(std::vector<int> columns) {
+  decode_.assign(decode_.size(), 0);
+  for (int c : columns) decode_[static_cast<size_t>(c)] = 1;
+}
+
+std::string TableScanOp::Label() const {
+  std::string label = "Scan(" + table_->name() + ")";
+  const size_t decoded =
+      static_cast<size_t>(std::count(decode_.begin(), decode_.end(), 1));
+  if (decoded < decode_.size()) {
+    label += " [decode " + std::to_string(decoded) + "/" +
+             std::to_string(decode_.size()) + "]";
+  }
+  return label;
+}
+
 Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
   // Columnar scans attach the table's typed columns to every emitted
   // batch; the materialized row shim still backs the row(i) API for
@@ -50,7 +66,7 @@ Status TableScanOp::EmitSegmentRange(size_t seg, size_t begin,
     auto store = std::make_shared<ColumnStore>();
     auto rows = std::make_shared<std::vector<Row>>();
     BYPASS_RETURN_IF_ERROR(SegmentReader::Read(
-        segs, table_->schema(), seg, store.get(), rows.get()));
+        segs, table_->schema(), seg, store.get(), rows.get(), &decode_));
     cache.segment = seg;
     cache.store = std::move(store);
     cache.rows = std::move(rows);

@@ -17,7 +17,9 @@ namespace bypass {
 
 class TableScanOp : public UnaryPhysOp {
  public:
-  explicit TableScanOp(const Table* table) : table_(table) {}
+  explicit TableScanOp(const Table* table)
+      : table_(table),
+        decode_(static_cast<size_t>(table->schema().num_columns()), 1) {}
 
   Status Prepare(ExecContext* ctx) override;
 
@@ -49,9 +51,7 @@ class TableScanOp : public UnaryPhysOp {
     return Status::Internal("TableScan has no input");
   }
 
-  std::string Label() const override {
-    return "Scan(" + table_->name() + ")";
-  }
+  std::string Label() const override;
 
   /// Installs the zone-map pruning predicate: a filter predicate bound
   /// against this table's schema whose TRUE rows are the only ones any
@@ -67,6 +67,12 @@ class TableScanOp : public UnaryPhysOp {
     zone_filter_ = std::move(filter);
   }
   const ExprPtr& zone_filter() const { return zone_filter_; }
+
+  /// Restricts segment decoding to the given ascending table slots — the
+  /// columns the plan's consumers read (planner column pruning). Other
+  /// slots of segment-read rows stay NULL; the row layout is unchanged.
+  /// Flat scans are zero-copy and unaffected. Empty = decode none.
+  void set_decode_columns(std::vector<int> columns);
 
  private:
   /// One decompressed segment per worker; shared_ptr-owned because
@@ -87,6 +93,8 @@ class TableScanOp : public UnaryPhysOp {
 
   const Table* table_;
   ExprPtr zone_filter_;
+  /// Per table slot: decode it on the segment path (all set by default).
+  std::vector<char> decode_;
   std::vector<SegmentCache> seg_cache_;
 };
 

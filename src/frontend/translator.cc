@@ -219,7 +219,7 @@ Result<LogicalOpPtr> Translator::TranslateGroupBy(
           key_ast->ToString());
     }
     const auto* ref = static_cast<const ColumnRefExpr*>(key.get());
-    keys.push_back(GroupKey{ref->qualifier(), ref->name()});
+    keys.push_back(GroupKey{ref->qualifier(), ref->name(), ""});
     BYPASS_ASSIGN_OR_RETURN(
         int slot, local.FindColumn(ref->qualifier(), ref->name()));
     key_schema.AddColumn(local.column(slot));

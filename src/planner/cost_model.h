@@ -18,6 +18,10 @@
 namespace bypass {
 
 struct PlanEstimate {
+  PlanEstimate() = default;
+  PlanEstimate(double rows_in, double cost_in, double neg_rows_in = 0)
+      : rows(rows_in), cost(cost_in), neg_rows(neg_rows_in) {}
+
   double rows = 0;  ///< estimated output cardinality (positive stream)
   double cost = 0;  ///< estimated total work to produce it
   /// Bypass operators only: estimated cardinality of the complement

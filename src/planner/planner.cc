@@ -15,70 +15,82 @@
 #include "exec/semi_join.h"
 #include "exec/sort.h"
 #include "exec/union_op.h"
-#include "expr/expr_util.h"
 
 namespace bypass {
 
 namespace {
 
-/// Equi-join decomposition: conjuncts of the form left_col = right_col
-/// become hash keys; everything else is a residual predicate evaluated on
-/// the concatenated row.
-struct EquiSplit {
-  std::vector<int> left_slots;
-  std::vector<int> right_slots;
-  std::vector<ExprPtr> residual_conjuncts;  // unbound
-};
+/// The physical slot of logical position `pos` in an ascending layout,
+/// or -1 when the layout does not carry it.
+int SlotOf(const std::vector<int>& layout, int pos) {
+  const auto it = std::lower_bound(layout.begin(), layout.end(), pos);
+  return it != layout.end() && *it == pos
+             ? static_cast<int>(it - layout.begin())
+             : -1;
+}
 
-EquiSplit SplitEquiPred(const ExprPtr& pred, const Schema& left,
-                        const Schema& right) {
-  EquiSplit split;
-  for (const ExprPtr& c : SplitConjuncts(pred)) {
-    bool handled = false;
-    if (c->kind() == ExprKind::kComparison) {
-      const auto* cmp = static_cast<const ComparisonExpr*>(c.get());
-      if (cmp->op() == CompareOp::kEq &&
-          cmp->left()->kind() == ExprKind::kColumnRef &&
-          cmp->right()->kind() == ExprKind::kColumnRef) {
-        const auto* a =
-            static_cast<const ColumnRefExpr*>(cmp->left().get());
-        const auto* b =
-            static_cast<const ColumnRefExpr*>(cmp->right().get());
-        if (!a->is_outer() && !b->is_outer()) {
-          auto la = left.FindColumn(a->qualifier(), a->name());
-          auto rb = right.FindColumn(b->qualifier(), b->name());
-          if (la.ok() && rb.ok()) {
-            split.left_slots.push_back(*la);
-            split.right_slots.push_back(*rb);
-            handled = true;
-          } else {
-            auto lb = left.FindColumn(b->qualifier(), b->name());
-            auto ra = right.FindColumn(a->qualifier(), a->name());
-            if (lb.ok() && ra.ok()) {
-              split.left_slots.push_back(*lb);
-              split.right_slots.push_back(*ra);
-              handled = true;
-            }
-          }
-        }
-      }
+/// Keep lists of a join whose output layout is `out` (positions of its
+/// logical schema, the concatenation of the inputs') over inputs with
+/// layouts `left` and `right`; `left_width` is the left input's logical
+/// width. Fails when an output position is missing from its input — the
+/// pass guarantees it never is.
+Result<JoinKeep> MakeJoinKeep(const std::vector<int>& out,
+                              const std::vector<int>& left,
+                              const std::vector<int>& right,
+                              int left_width) {
+  std::vector<int> keep_left;
+  std::vector<int> keep_right;
+  for (int p : out) {
+    const int slot = p < left_width ? SlotOf(left, p)
+                                    : SlotOf(right, p - left_width);
+    if (slot < 0) {
+      return Status::Internal("join output column missing from its input");
     }
-    if (!handled) split.residual_conjuncts.push_back(c);
+    (p < left_width ? keep_left : keep_right).push_back(slot);
   }
-  return split;
+  return JoinKeep(std::move(keep_left), std::move(keep_right),
+                  static_cast<int>(left.size()),
+                  static_cast<int>(right.size()));
+}
+
+/// Operators whose output schema and layout are their first input's.
+bool PassesInputSchema(LogicalOpKind kind) {
+  switch (kind) {
+    case LogicalOpKind::kSelect:
+    case LogicalOpKind::kBypassSelect:
+    case LogicalOpKind::kBypassPartition:
+    case LogicalOpKind::kDistinct:
+    case LogicalOpKind::kLimit:
+    case LogicalOpKind::kSort:
+    case LogicalOpKind::kSemiJoin:
+    case LogicalOpKind::kAntiJoin:
+    case LogicalOpKind::kUnion:
+      return true;
+    default:
+      return false;
+  }
 }
 
 }  // namespace
 
 Result<PhysicalPlan> Planner::Lower(const LogicalOpPtr& root) {
-  return LowerPlan(root, /*outer_schema=*/nullptr);
+  return LowerPlan(root, /*outer_schema=*/nullptr, /*prune=*/true);
+}
+
+Result<PhysicalPlan> Planner::LowerUnpruned(const LogicalOpPtr& root) {
+  return LowerPlan(root, /*outer_schema=*/nullptr, /*prune=*/false);
 }
 
 Result<PhysicalPlan> Planner::LowerPlan(const LogicalOpPtr& root,
-                                        const Schema* outer_schema) {
+                                        const Schema* outer_schema,
+                                        bool prune) {
   PhysicalPlan plan;
+  const ColumnLayouts layouts = ComputeColumnLayouts(*root, prune);
+  std::unordered_map<const LogicalOp*, const Schema*> schemas;
+  std::deque<Schema> narrowed;
   std::vector<std::pair<TableScanOp*, ExprPtr>> zone_candidates;
-  LoweringCtx ctx{&plan, outer_schema, &zone_candidates};
+  LoweringCtx ctx{&plan,     outer_schema, prune,           &layouts,
+                  &schemas, &narrowed,    &zone_candidates};
   std::unordered_map<const LogicalOp*, PhysOp*> memo;
   BYPASS_ASSIGN_OR_RETURN(PhysOp * top, LowerNode(root, &ctx, &memo));
   auto sink = std::make_unique<CollectorSink>();
@@ -162,7 +174,7 @@ Status Planner::BindExprInPlace(Expr* expr, const Schema& input,
           std::unique(free_slots.begin(), free_slots.end()),
           free_slots.end());
       BYPASS_ASSIGN_OR_RETURN(PhysicalPlan inner_plan,
-                              LowerPlan(sq->plan(), &input));
+                              LowerPlan(sq->plan(), &input, ctx->prune));
       auto subplan = std::make_shared<ExecSubplan>(
           std::move(inner_plan), std::move(free_slots),
           options_.memoize_subqueries);
@@ -203,6 +215,24 @@ Result<PhysOp*> Planner::LowerNode(
     children[child_index]->AddConsumer(
         static_cast<int>(inputs[child_index].port), op, in_port);
   };
+  // Inputs' physical schemas: what this node's expressions bind against.
+  auto phys = [&](size_t i) -> const Schema& {
+    return *ctx->schemas->at(inputs[i].op.get());
+  };
+  const std::vector<int>& layout = ctx->layouts->of(node.get());
+  // Wires a row-concatenating join and hands it the keep lists that
+  // narrow its output rows to `layout`.
+  auto finish_concat_join = [&](ConcatJoinOp* op) -> Status {
+    BYPASS_ASSIGN_OR_RETURN(
+        JoinKeep keep,
+        MakeJoinKeep(layout, ctx->layouts->of(inputs[0].op.get()),
+                     ctx->layouts->of(inputs[1].op.get()),
+                     inputs[0].op->schema().num_columns()));
+    op->set_keep(std::move(keep));
+    wire(op, BinaryPhysOp::kLeft, 0);
+    wire(op, BinaryPhysOp::kRight, 1);
+    return Status::OK();
+  };
 
   PhysOp* result = nullptr;
   switch (node->kind()) {
@@ -215,6 +245,7 @@ Result<PhysOp*> Planner::LowerNode(
                                 get.table_name());
       }
       auto scan = std::make_unique<TableScanOp>(table);
+      scan->set_decode_columns(ctx->layouts->read_by_consumers(node.get()));
       TableScanOp* raw = scan.get();
       ctx->plan->ops.push_back(std::move(scan));
       ctx->plan->sources.push_back(raw);
@@ -225,7 +256,7 @@ Result<PhysOp*> Planner::LowerNode(
       const auto& sel = static_cast<const SelectOp&>(*node);
       BYPASS_ASSIGN_OR_RETURN(
           ExprPtr pred,
-          BindExpr(sel.predicate(), inputs[0].op->schema(), ctx));
+          BindExpr(sel.predicate(), phys(0), ctx));
       // A filter directly over a scan is bound against the table schema,
       // making it a zone-map pruning candidate (installed by the
       // post-wiring pass if the scan gets no other consumer).
@@ -241,7 +272,7 @@ Result<PhysOp*> Planner::LowerNode(
       const auto& sel = static_cast<const BypassSelectOp&>(*node);
       BYPASS_ASSIGN_OR_RETURN(
           ExprPtr pred,
-          BindExpr(sel.predicate(), inputs[0].op->schema(), ctx));
+          BindExpr(sel.predicate(), phys(0), ctx));
       result = Register(
           ctx, std::make_unique<BypassFilterOp>(std::move(pred)));
       wire(result, 0, 0);
@@ -250,15 +281,17 @@ Result<PhysOp*> Planner::LowerNode(
     case LogicalOpKind::kProject: {
       const auto& proj = static_cast<const ProjectOp&>(*node);
       std::vector<ExprPtr> exprs;
-      for (const NamedExpr& item : proj.items()) {
+      for (int i : layout) {
         BYPASS_ASSIGN_OR_RETURN(
-            ExprPtr e, BindExpr(item.expr, inputs[0].op->schema(), ctx));
+            ExprPtr e,
+            BindExpr(proj.items()[static_cast<size_t>(i)].expr, phys(0),
+                     ctx));
         exprs.push_back(std::move(e));
       }
       // Identity projections (every input column, in order) forward
       // batches untouched at execution time.
       bool identity =
-          exprs.size() == inputs[0].op->schema().num_columns();
+          exprs.size() == static_cast<size_t>(phys(0).num_columns());
       for (size_t i = 0; identity && i < exprs.size(); ++i) {
         const auto* ref = exprs[i]->kind() == ExprKind::kColumnRef
                               ? static_cast<const ColumnRefExpr*>(
@@ -275,10 +308,15 @@ Result<PhysOp*> Planner::LowerNode(
     }
     case LogicalOpKind::kMap: {
       const auto& map = static_cast<const MapOp&>(*node);
+      const int base = node->schema().num_columns() -
+                       static_cast<int>(map.items().size());
       std::vector<ExprPtr> exprs;
-      for (const NamedExpr& item : map.items()) {
+      for (int i : layout) {
+        if (i < base) continue;
         BYPASS_ASSIGN_OR_RETURN(
-            ExprPtr e, BindExpr(item.expr, inputs[0].op->schema(), ctx));
+            ExprPtr e,
+            BindExpr(map.items()[static_cast<size_t>(i - base)].expr,
+                     phys(0), ctx));
         exprs.push_back(std::move(e));
       }
       result =
@@ -301,7 +339,7 @@ Result<PhysOp*> Planner::LowerNode(
       std::vector<PhysSortKey> keys;
       for (const SortKey& k : sort.keys()) {
         BYPASS_ASSIGN_OR_RETURN(
-            ExprPtr e, BindExpr(k.expr, inputs[0].op->schema(), ctx));
+            ExprPtr e, BindExpr(k.expr, phys(0), ctx));
         keys.push_back(PhysSortKey{std::move(e), k.descending});
       }
       result =
@@ -310,12 +348,17 @@ Result<PhysOp*> Planner::LowerNode(
       break;
     }
     case LogicalOpKind::kJoin: {
+      // Joins build their output rows from the kept columns only (the
+      // required-columns pass's layout); a residual or nested-loop
+      // predicate binds against — and is evaluated on — that row, which
+      // the pass made carry the predicate's columns.
       const auto& join = static_cast<const JoinOp&>(*node);
-      const Schema& left = inputs[0].op->schema();
-      const Schema& right = inputs[1].op->schema();
-      const Schema concat = Schema::Concat(left, right);
+      const Schema& left = phys(0);
+      const Schema& right = phys(1);
+      const Schema out = node->schema().Select(layout);
+      ConcatJoinOp* op = nullptr;
       if (join.predicate() == nullptr) {
-        result = Register(ctx, std::make_unique<NLJoinOp>(nullptr));
+        op = Register(ctx, std::make_unique<NLJoinOp>(nullptr));
       } else {
         EquiSplit split = SplitEquiPred(join.predicate(), left, right);
         if (!split.left_slots.empty()) {
@@ -323,61 +366,66 @@ Result<PhysOp*> Planner::LowerNode(
           if (!split.residual_conjuncts.empty()) {
             BYPASS_ASSIGN_OR_RETURN(
                 residual,
-                BindExpr(MakeAnd(split.residual_conjuncts), concat, ctx));
+                BindExpr(MakeAnd(split.residual_conjuncts), out, ctx));
           }
-          result = Register(ctx, std::make_unique<HashJoinOp>(
-                                     std::move(split.left_slots),
-                                     std::move(split.right_slots),
-                                     std::move(residual)));
+          op = Register(ctx, std::make_unique<HashJoinOp>(
+                                 std::move(split.left_slots),
+                                 std::move(split.right_slots),
+                                 std::move(residual)));
         } else {
-          BYPASS_ASSIGN_OR_RETURN(
-              ExprPtr pred, BindExpr(join.predicate(), concat, ctx));
-          result = Register(ctx,
-                            std::make_unique<NLJoinOp>(std::move(pred)));
+          BYPASS_ASSIGN_OR_RETURN(ExprPtr pred,
+                                  BindExpr(join.predicate(), out, ctx));
+          op = Register(ctx, std::make_unique<NLJoinOp>(std::move(pred)));
         }
       }
-      wire(result, BinaryPhysOp::kLeft, 0);
-      wire(result, BinaryPhysOp::kRight, 1);
+      BYPASS_RETURN_IF_ERROR(finish_concat_join(op));
+      result = op;
       break;
     }
     case LogicalOpKind::kBypassJoin: {
       const auto& join = static_cast<const BypassJoinOp&>(*node);
-      const Schema concat = Schema::Concat(inputs[0].op->schema(),
-                                           inputs[1].op->schema());
-      BYPASS_ASSIGN_OR_RETURN(ExprPtr pred,
-                              BindExpr(join.predicate(), concat, ctx));
-      result = Register(ctx,
-                        std::make_unique<BypassNLJoinOp>(std::move(pred)));
-      wire(result, BinaryPhysOp::kLeft, 0);
-      wire(result, BinaryPhysOp::kRight, 1);
+      BYPASS_ASSIGN_OR_RETURN(
+          ExprPtr pred,
+          BindExpr(join.predicate(), node->schema().Select(layout), ctx));
+      auto* op = Register(ctx,
+                          std::make_unique<BypassNLJoinOp>(std::move(pred)));
+      BYPASS_RETURN_IF_ERROR(finish_concat_join(op));
+      result = op;
       break;
     }
     case LogicalOpKind::kLeftOuterJoin: {
       const auto& join = static_cast<const LeftOuterJoinOp&>(*node);
-      const Schema& left = inputs[0].op->schema();
-      const Schema& right = inputs[1].op->schema();
-      const Schema concat = Schema::Concat(left, right);
+      const Schema& left = phys(0);
+      const Schema& right = phys(1);
+      // The padding row has the right input's physical arity; defaults
+      // for columns the right input does not carry are unread.
       Row unmatched(static_cast<size_t>(right.num_columns()),
                     Value::Null());
       for (const auto& [name, value] : join.unmatched_defaults()) {
-        BYPASS_ASSIGN_OR_RETURN(int slot, right.FindColumn("", name));
-        unmatched[static_cast<size_t>(slot)] = value;
+        const Result<int> slot = right.FindColumn("", name);
+        if (slot.ok()) {
+          unmatched[static_cast<size_t>(*slot)] = value;
+        } else if (!inputs[1].op->schema().HasColumn("", name)) {
+          return slot.status();
+        }
       }
       EquiSplit split = SplitEquiPred(join.predicate(), left, right);
+      ConcatJoinOp* op = nullptr;
       if (!split.left_slots.empty() &&
           split.residual_conjuncts.empty()) {
-        result = Register(ctx, std::make_unique<HashLeftOuterJoinOp>(
-                                   std::move(split.left_slots),
-                                   std::move(split.right_slots),
-                                   std::move(unmatched)));
+        op = Register(ctx, std::make_unique<HashLeftOuterJoinOp>(
+                               std::move(split.left_slots),
+                               std::move(split.right_slots),
+                               std::move(unmatched)));
       } else {
         BYPASS_ASSIGN_OR_RETURN(
-            ExprPtr pred, BindExpr(join.predicate(), concat, ctx));
-        result = Register(ctx, std::make_unique<NLLeftOuterJoinOp>(
-                                   std::move(pred), std::move(unmatched)));
+            ExprPtr pred,
+            BindExpr(join.predicate(), node->schema().Select(layout), ctx));
+        op = Register(ctx, std::make_unique<NLLeftOuterJoinOp>(
+                               std::move(pred), std::move(unmatched)));
       }
-      wire(result, BinaryPhysOp::kLeft, 0);
-      wire(result, BinaryPhysOp::kRight, 1);
+      BYPASS_RETURN_IF_ERROR(finish_concat_join(op));
+      result = op;
       break;
     }
     case LogicalOpKind::kSemiJoin:
@@ -386,8 +434,8 @@ Result<PhysOp*> Planner::LowerNode(
       const ExprPtr& raw_pred =
           anti ? static_cast<const AntiJoinOp&>(*node).predicate()
                : static_cast<const SemiJoinOp&>(*node).predicate();
-      const Schema& left = inputs[0].op->schema();
-      const Schema& right = inputs[1].op->schema();
+      const Schema& left = phys(0);
+      const Schema& right = phys(1);
       EquiSplit split = SplitEquiPred(raw_pred, left, right);
       if (!split.left_slots.empty() &&
           split.residual_conjuncts.empty()) {
@@ -407,7 +455,7 @@ Result<PhysOp*> Planner::LowerNode(
     }
     case LogicalOpKind::kGroupBy: {
       const auto& gb = static_cast<const GroupByOp&>(*node);
-      const Schema& input = inputs[0].op->schema();
+      const Schema& input = phys(0);
       std::vector<int> key_slots;
       for (const GroupKey& k : gb.keys()) {
         BYPASS_ASSIGN_OR_RETURN(int slot,
@@ -431,8 +479,8 @@ Result<PhysOp*> Planner::LowerNode(
     }
     case LogicalOpKind::kBinaryGroupBy: {
       const auto& gb = static_cast<const BinaryGroupByOp&>(*node);
-      const Schema& left = inputs[0].op->schema();
-      const Schema& right = inputs[1].op->schema();
+      const Schema& left = phys(0);
+      const Schema& right = phys(1);
       BYPASS_ASSIGN_OR_RETURN(
           int left_slot,
           left.FindColumn(gb.left_key().qualifier, gb.left_key().name));
@@ -475,7 +523,7 @@ Result<PhysOp*> Planner::LowerNode(
       preds.reserve(part.predicates().size());
       for (const ExprPtr& p : part.predicates()) {
         BYPASS_ASSIGN_OR_RETURN(
-            ExprPtr bound, BindExpr(p, inputs[0].op->schema(), ctx));
+            ExprPtr bound, BindExpr(p, phys(0), ctx));
         preds.push_back(std::move(bound));
       }
       result = Register(
@@ -484,6 +532,13 @@ Result<PhysOp*> Planner::LowerNode(
       break;
     }
     case LogicalOpKind::kUnion: {
+      // The pass reconciles union inputs to one layout; rows of every
+      // input must line up slot for slot.
+      for (const LogicalInput& in : inputs) {
+        if (ctx->layouts->of(in.op.get()) != layout) {
+          return Status::Internal("union inputs disagree on their layout");
+        }
+      }
       result = Register(ctx, std::make_unique<UnionAllOp>(
                                  static_cast<int>(inputs.size())));
       for (size_t i = 0; i < inputs.size(); ++i) {
@@ -494,6 +549,18 @@ Result<PhysOp*> Planner::LowerNode(
   }
   BYPASS_CHECK(result != nullptr);
   memo->emplace(node.get(), result);
+  // The node's physical schema: its logical one when the layout is full,
+  // the input's when it passes that through unchanged, else a narrowed
+  // copy.
+  const Schema* schema = &node->schema();
+  if (layout.size() != static_cast<size_t>(schema->num_columns())) {
+    if (PassesInputSchema(node->kind())) {
+      schema = ctx->schemas->at(inputs[0].op.get());
+    } else {
+      schema = &ctx->narrowed->emplace_back(schema->Select(layout));
+    }
+  }
+  ctx->schemas->emplace(node.get(), schema);
   return result;
 }
 

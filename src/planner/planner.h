@@ -5,6 +5,7 @@
 #ifndef BYPASSDB_PLANNER_PLANNER_H_
 #define BYPASSDB_PLANNER_PLANNER_H_
 
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/result.h"
 #include "exec/executor.h"
 #include "exec/subplan_impl.h"
+#include "planner/required_columns.h"
 
 namespace bypass {
 
@@ -30,13 +32,29 @@ class Planner {
       : catalog_(catalog), options_(options) {}
 
   /// Lowers a logical plan into an executable physical plan (with a
-  /// CollectorSink at the root).
+  /// CollectorSink at the root). The required-columns pass runs first
+  /// (planner/required_columns.h): joins keep only the columns their
+  /// consumers read and segment scans decode only those, for this plan
+  /// and every nested subplan.
   Result<PhysicalPlan> Lower(const LogicalOpPtr& root);
+
+  /// The same lowering with the required-columns pass skipped: every
+  /// operator carries its full logical schema. The reference side of the
+  /// column-pruning differential tests.
+  Result<PhysicalPlan> LowerUnpruned(const LogicalOpPtr& root);
 
  private:
   struct LoweringCtx {
     PhysicalPlan* plan;
     const Schema* outer_schema;  // enclosing block's schema, or nullptr
+    bool prune;
+    /// The pass's per-node physical layouts for this plan, and the
+    /// resulting physical schema of each lowered node — what consumers
+    /// bind their expressions against, by name. Full layouts point at
+    /// the logical schema; narrowed ones live in `narrowed`.
+    const ColumnLayouts* layouts;
+    std::unordered_map<const LogicalOp*, const Schema*>* schemas;
+    std::deque<Schema>* narrowed;
     /// Filter-over-scan pairs found while lowering this plan; the
     /// post-wiring pass installs the predicate as the scan's zone filter
     /// when the scan ended up with that filter as its only consumer.
@@ -44,7 +62,7 @@ class Planner {
   };
 
   Result<PhysicalPlan> LowerPlan(const LogicalOpPtr& root,
-                                 const Schema* outer_schema);
+                                 const Schema* outer_schema, bool prune);
 
   Result<PhysOp*> LowerNode(
       const LogicalOpPtr& node, LoweringCtx* ctx,

@@ -691,7 +691,7 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
           keys.push_back(GroupKey{ref->qualifier(), ref->name(), k});
         } else {
           key_maps.push_back(NamedExpr{o.inner_side->Clone(), k, ""});
-          keys.push_back(GroupKey{"", k});
+          keys.push_back(GroupKey{"", k, ""});
         }
         join_conjuncts.push_back(
             MakeComparison(CompareOp::kEq, LocalizeOuterRefs(o.outer_side),
@@ -724,26 +724,26 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
     if (outer_local->kind() == ExprKind::kColumnRef) {
       const auto* ref =
           static_cast<const ColumnRefExpr*>(outer_local.get());
-      left_key = GroupKey{ref->qualifier(), ref->name()};
+      left_key = GroupKey{ref->qualifier(), ref->name(), ""};
     } else {
       const std::string k = FreshName("k");
       left_in = Out(std::make_shared<MapOp>(
           left_in,
           std::vector<NamedExpr>{NamedExpr{outer_local, k, ""}}));
-      left_key = GroupKey{"", k};
+      left_key = GroupKey{"", k, ""};
     }
     LogicalOpPtr inner_rel = analysis.stripped;
     GroupKey right_key;
     if (o.inner_side->kind() == ExprKind::kColumnRef) {
       const auto* ref =
           static_cast<const ColumnRefExpr*>(o.inner_side.get());
-      right_key = GroupKey{ref->qualifier(), ref->name()};
+      right_key = GroupKey{ref->qualifier(), ref->name(), ""};
     } else {
       const std::string k = FreshName("k");
       inner_rel = std::make_shared<MapOp>(
           Out(inner_rel),
           std::vector<NamedExpr>{NamedExpr{o.inner_side->Clone(), k, ""}});
-      right_key = GroupKey{"", k};
+      right_key = GroupKey{"", k, ""};
     }
     AggregateSpec agg = f.Clone();
     agg.output_name = g;
@@ -807,7 +807,7 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
     LogicalInput neg_stream = Out(std::make_shared<MapOp>(
         Neg(bp), std::vector<NamedExpr>{
                      NamedExpr{corr->inner_side->Clone(), k, ""}}));
-    const GroupKey key{"", k};
+    const GroupKey key{"", k, ""};
     auto neg_group = std::make_shared<GroupByOp>(
         neg_stream, std::vector<GroupKey>{key}, std::move(neg_partials),
         /*scalar=*/false);
@@ -871,8 +871,8 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
   AggregateSpec agg = f.Clone();
   agg.output_name = g;
   auto bgb = std::make_shared<BinaryGroupByOp>(
-      Out(numbered), Out(uni), GroupKey{"", t}, CompareOp::kEq,
-      GroupKey{"", t}, std::vector<AggregateSpec>{std::move(agg)});
+      Out(numbered), Out(uni), GroupKey{"", t, ""}, CompareOp::kEq,
+      GroupKey{"", t, ""}, std::vector<AggregateSpec>{std::move(agg)});
   LogRule("Eqv.5");
   return ExtendedValue{bgb, MakeColumnRef("", g)};
 }

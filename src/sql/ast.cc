@@ -30,31 +30,32 @@ std::string AstExpr::ToString() const {
     case AstExprKind::kColumnRef:
       return qualifier.empty() ? name : qualifier + "." + name;
     case AstExprKind::kCompare:
-      return "(" + children[0]->ToString() + " " +
-             CompareOpToString(compare_op) + " " +
-             children[1]->ToString() + ")";
+      return Parenthesize(children[0]->ToString() + " " +
+                          CompareOpToString(compare_op) + " " +
+                          children[1]->ToString());
     case AstExprKind::kAnd:
     case AstExprKind::kOr: {
       std::vector<std::string> parts;
       parts.reserve(children.size());
       for (const AstExprPtr& c : children) parts.push_back(c->ToString());
-      return "(" +
-             Join(parts, kind == AstExprKind::kAnd ? " AND " : " OR ") +
-             ")";
+      return Parenthesize(
+          Join(parts, kind == AstExprKind::kAnd ? " AND " : " OR "));
     }
     case AstExprKind::kNot:
       return "(NOT " + children[0]->ToString() + ")";
     case AstExprKind::kArith:
-      return "(" + children[0]->ToString() + " " + ArithOpSymbol(arith_op) +
-             " " + children[1]->ToString() + ")";
+      return Parenthesize(children[0]->ToString() + " " +
+                          ArithOpSymbol(arith_op) + " " +
+                          children[1]->ToString());
     case AstExprKind::kNegate:
       return "(-" + children[0]->ToString() + ")";
     case AstExprKind::kLike:
-      return "(" + children[0]->ToString() +
-             (negated ? " NOT LIKE '" : " LIKE '") + pattern + "')";
+      return Parenthesize(children[0]->ToString() +
+                          (negated ? " NOT LIKE '" : " LIKE '") + pattern +
+                          "'");
     case AstExprKind::kIsNull:
-      return "(" + children[0]->ToString() +
-             (negated ? " IS NOT NULL)" : " IS NULL)");
+      return Parenthesize(children[0]->ToString() +
+                          (negated ? " IS NOT NULL" : " IS NULL"));
     case AstExprKind::kAggCall: {
       std::string arg =
           children.empty() ? "*" : children[0]->ToString();
@@ -62,7 +63,7 @@ std::string AstExpr::ToString() const {
              std::string(distinct ? "DISTINCT " : "") + arg + ")";
     }
     case AstExprKind::kSubquery:
-      return "(" + subquery->ToString() + ")";
+      return Parenthesize(subquery->ToString());
     case AstExprKind::kExists:
       return std::string(negated ? "NOT " : "") + "EXISTS (" +
              subquery->ToString() + ")";
@@ -106,7 +107,7 @@ std::string SelectStmt::ToString() const {
   from_strs.reserve(from.size());
   for (const TableRef& t : from) {
     std::string s = t.subquery != nullptr
-                        ? "(" + t.subquery->ToString() + ")"
+                        ? Parenthesize(t.subquery->ToString())
                         : t.table;
     if (!t.alias.empty() && !EqualsIgnoreCase(t.alias, t.table)) {
       s += " " + t.alias;

@@ -306,7 +306,8 @@ TableSegments BuildTableSegments(const Schema& schema,
 
 Status SegmentReader::Read(const TableSegments& segs, const Schema& schema,
                            size_t seg, ColumnStore* store,
-                           std::vector<Row>* rows) {
+                           std::vector<Row>* rows,
+                           const std::vector<char>* decode) {
   if (seg >= segs.num_segments()) {
     return Status::Internal("segment index out of range");
   }
@@ -324,6 +325,10 @@ Status SegmentReader::Read(const TableSegments& segs, const Schema& schema,
   for (size_t c = 0; c < store->columns.size(); ++c) {
     const ColumnSegment& cs = segs.columns[seg][c];
     ColumnVector& out = store->columns[c];
+    if (decode != nullptr && (*decode)[c] == 0) {
+      out.AppendNulls(n);
+      continue;
+    }
     out.Reserve(n);
     const auto is_null = [&cs](size_t i) {
       return cs.null_count > 0 &&

@@ -100,10 +100,13 @@ class SegmentReader {
  public:
   /// Decompresses segment `seg` of `segs` into `store` (typed columns
   /// recreated per `schema`) and, when `rows` is non-null, materializes
-  /// the segment's row shim. Exact round-trip of the source rows.
+  /// the segment's row shim. Exact round-trip of the source rows. With
+  /// `decode` (one flag per column), unflagged columns are not decoded:
+  /// they read as all-NULL, keeping the column layout.
   static Status Read(const TableSegments& segs, const Schema& schema,
                      size_t seg, ColumnStore* store,
-                     std::vector<Row>* rows);
+                     std::vector<Row>* rows,
+                     const std::vector<char>* decode = nullptr);
 };
 
 }  // namespace bypass

@@ -86,6 +86,12 @@ void ColumnVector::Append(const Value& v) {
   ++size_;
 }
 
+void ColumnVector::AppendNulls(size_t n) {
+  Reserve(size_ + n);
+  const Value null = Value::Null();
+  for (size_t i = 0; i < n; ++i) Append(null);
+}
+
 Value ColumnVector::GetValue(size_t i) const {
   if (mixed_mode_) return mixed_[i];
   if (IsNull(i)) return Value::Null();

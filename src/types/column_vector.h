@@ -49,6 +49,9 @@ class ColumnVector {
   /// demotes the column to mixed mode (exact round-trip preserved).
   void Append(const Value& v);
 
+  /// Appends `n` NULLs (a column a pruned segment scan does not decode).
+  void AppendNulls(size_t n);
+
   /// Exact round-trip of the appended Value (type included).
   Value GetValue(size_t i) const;
 

@@ -12,6 +12,16 @@ Row ConcatRows(const Row& left, const Row& right) {
   return out;
 }
 
+Row ConcatRowsProjected(const Row& left, const std::vector<int>& left_slots,
+                        const Row& right,
+                        const std::vector<int>& right_slots) {
+  Row out;
+  out.reserve(left_slots.size() + right_slots.size());
+  for (int s : left_slots) out.push_back(left[static_cast<size_t>(s)]);
+  for (int s : right_slots) out.push_back(right[static_cast<size_t>(s)]);
+  return out;
+}
+
 Row ProjectRow(const Row& row, const std::vector<int>& slots) {
   Row out;
   out.reserve(slots.size());

@@ -16,6 +16,11 @@ using Row = std::vector<Value>;
 /// Concatenation x ◦ y.
 Row ConcatRows(const Row& left, const Row& right);
 
+/// Projected concatenation: left[left_slots...] ◦ right[right_slots...].
+Row ConcatRowsProjected(const Row& left, const std::vector<int>& left_slots,
+                        const Row& right,
+                        const std::vector<int>& right_slots);
+
 /// Projection of `row` to the given slots.
 Row ProjectRow(const Row& row, const std::vector<int>& slots);
 

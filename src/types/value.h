@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/result.h"
@@ -63,10 +64,16 @@ class Value {
   Value() : rep_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Rep(v)); }
-  static Value Int64(int64_t v) { return Value(Rep(v)); }
-  static Value Double(double v) { return Value(Rep(v)); }
-  static Value String(std::string v) { return Value(Rep(std::move(v))); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int64(int64_t v) {
+    return Value(std::in_place_type<int64_t>, v);
+  }
+  static Value Double(double v) {
+    return Value(std::in_place_type<double>, v);
+  }
+  static Value String(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
 
   bool is_null() const {
     return std::holds_alternative<std::monostate>(rep_);
@@ -132,7 +139,12 @@ class Value {
  private:
   using Rep =
       std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  // Constructs the alternative in place; moving a temporary Rep instead
+  // trips GCC 12's false -Wmaybe-uninitialized on the string member
+  // under sanitizer instrumentation.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> tag, Arg&& arg)
+      : rep_(tag, std::forward<Arg>(arg)) {}
 
   static TriBool OrderingToTriBool(CompareOp op, int cmp) {
     bool result = false;

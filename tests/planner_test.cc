@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/database.h"
 #include "frontend/translator.h"
+#include "planner/required_columns.h"
 #include "rewrite/unnest.h"
 #include "sql/parser.h"
 #include "workload/rst.h"
+#include "workload/tpch.h"
 
 namespace bypass {
 namespace {
@@ -124,6 +127,53 @@ TEST_F(PlannerTest, PlanToStringListsOperators) {
   const std::string str = plan.ToString();
   EXPECT_NE(str.find("HashJoin"), std::string::npos);
   EXPECT_NE(str.find("source order"), std::string::npos);
+}
+
+// Column pruning on the paper's flagship query: the unnested Q2d's
+// subquery side, Γ[ps_partkey; min(ps_supplycost)] over partsupp ⋈
+// supplier ⋈ nation ⋈ region, reads integer keys and one cost only — no
+// string column may survive any of its joins, and EXPLAIN shows each
+// join's kept width and each scan's decoded columns.
+TEST(PlannerPruningTest, Q2dSubquerySideJoinsCarryNoStrings) {
+  Database db;
+  ASSERT_TRUE(LoadTpch(&db).ok());
+  auto stmt = ParseSelect(TpchQuery2d());
+  ASSERT_TRUE(stmt.ok());
+  Translator translator(db.catalog());
+  auto logical = translator.Translate(**stmt);
+  ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+  UnnestingRewriter rewriter(RewriteOptions{});
+  auto rewritten = rewriter.Rewrite(*logical);
+  ASSERT_TRUE(rewritten.ok());
+  const LogicalOpPtr plan = *rewritten;
+
+  const LogicalOp* group = nullptr;
+  for (const LogicalOp* node : TopologicalNodes(*plan)) {
+    if (node->kind() == LogicalOpKind::kGroupBy) group = node;
+  }
+  ASSERT_NE(group, nullptr);
+  const ColumnLayouts layouts = ComputeColumnLayouts(*plan, true);
+  int joins = 0;
+  for (const LogicalOp* node : TopologicalNodes(*group)) {
+    if (node->kind() != LogicalOpKind::kJoin) continue;
+    ++joins;
+    const Schema kept = node->schema().Select(layouts.of(node));
+    EXPECT_LE(kept.num_columns(), 3) << kept.ToString();
+    for (const ColumnDef& col : kept.columns()) {
+      EXPECT_NE(col.type, DataType::kString) << kept.ToString();
+    }
+  }
+  EXPECT_EQ(joins, 3);
+
+  Planner planner(db.catalog(), PlannerOptions{});
+  auto physical = planner.Lower(plan);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  const std::string text = physical->ToString();
+  for (const char* line : {"HashJoin [cols 3/12]", "HashJoin [cols 3/7]",
+                           "HashJoin [cols 2/6]",
+                           "Scan(partsupp) [decode 3/5]"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << "\n" << text;
+  }
 }
 
 }  // namespace

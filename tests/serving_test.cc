@@ -337,20 +337,21 @@ TEST(Serving, EmptyPreparedQueryFailsLoudly) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(Serving, DeprecatedImplicitConversionStillWorks) {
+TEST(Serving, StrategyFactoryPresetsKnobs) {
   Database db;
   LoadSmallRst(&db, 23, 30, 20, 10);
-  // The deprecated implicit conversion and the With factory must build
-  // identical options.
-  QueryOptions implicit = ExecutionStrategy::kCanonicalMemo;
+  // The With factory presets exactly what set_strategy does on a
+  // default-constructed options object.
+  QueryOptions preset;
+  preset.set_strategy(ExecutionStrategy::kCanonicalMemo);
   QueryOptions factory =
       QueryOptions::With(ExecutionStrategy::kCanonicalMemo);
-  EXPECT_EQ(implicit.unnest, factory.unnest);
-  EXPECT_EQ(implicit.cost_based, factory.cost_based);
-  EXPECT_EQ(implicit.memoize_subqueries, factory.memoize_subqueries);
-  EXPECT_EQ(implicit.shortcut_disjunctions,
-            factory.shortcut_disjunctions);
-  auto a = db.Query(kServingQueries[0], implicit);
+  EXPECT_EQ(preset.unnest, factory.unnest);
+  EXPECT_EQ(preset.cost_based, factory.cost_based);
+  EXPECT_EQ(preset.memoize_subqueries, factory.memoize_subqueries);
+  EXPECT_EQ(preset.shortcut_disjunctions, factory.shortcut_disjunctions);
+  EXPECT_TRUE(factory.memoize_subqueries);
+  auto a = db.Query(kServingQueries[0], preset);
   auto b = db.Query(kServingQueries[0], factory);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());

@@ -43,7 +43,11 @@ void RunSweep(Database* db, const char* title, const char* predicate,
               const std::vector<int64_t>& thresholds, int repetitions) {
   std::printf("\n-- %s --\n", title);
   std::vector<std::string> headers;
-  for (int64_t t : thresholds) headers.push_back(">" + std::to_string(t));
+  for (int64_t t : thresholds) {
+    std::string header = ">";
+    header += std::to_string(t);
+    headers.push_back(std::move(header));
+  }
   ResultTable table(headers);
   struct Order {
     const char* name;

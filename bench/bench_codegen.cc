@@ -1,4 +1,4 @@
-// Codegen tier benchmark (PR 9): compiled pipelines (C++-emit + dlopen,
+// Codegen tier benchmark: compiled pipelines (C++-emit + dlopen,
 // DESIGN.md §12) vs the interpreted vectorized kernels, paired on the
 // identical query/plan/data so each ratio is the honest fusion win:
 //
@@ -14,9 +14,9 @@
 //                  into one pass with first-TRUE-claims routing.
 //   q2d            the paper's Query 2d on TPC-H (SF 0.01), end to end.
 //
-// PR 10 widens the compiled region past the pipeline breakers; the
-// join_agg section measures the three generation-2 shapes on the same
-// 1M-row table joined against its 1%-scale sibling:
+// The join_agg section measures the three breaker terminals (a chain
+// ending in a fused pipeline breaker) on the same 1M-row table joined
+// against its 1%-scale sibling:
 //
 //   join_probe     scan → fused hash-join probe (near-unique *3 keys,
 //                  ~1% hit rate): the compiled loop owns hashing, the
@@ -25,7 +25,7 @@
 //                  COUNT/SUM/MIN/MAX folding in-register into SoA).
 //   join_agg       filter → probe → accumulate in one emitted pass; the
 //                  ~5M joined rows are never materialized on the
-//                  compiled path — the headline widened-region number.
+//                  compiled path — the headline breaker number.
 //
 // Each cell runs batch_size 1 (row-at-a-time era) and 1024 (default
 // vectorized); medians of --reps runs. The compile section reports the
@@ -34,21 +34,18 @@
 //
 // Also the CI probe for the codegen plumbing: invoked as
 //   bench_codegen --assert-codegen
-// it checks that (a) a compiled pipeline installs and actually runs
-// (compiled_batches > 0, zero per-batch fallbacks), (b) compiled results
-// are multiset-identical to the interpreted oracle on filter, bypass,
-// and tagged shapes, (c) re-preparing the same query hits the artifact
-// cache instead of recompiling, and (d) the scratch directory holds no
-// leaked sources/objects afterwards. Skips cleanly (exit 0, "n/a") when
-// the tier is compiled out or the host toolchain probe fails. Exits
-// nonzero on any failure.
-//
-// --assert-codegen-joinagg is the widened-region probe: each
-// generation-2 shape (probe / accumulate / fused) must install, serve
-// every batch natively (compiled_join_batches / compiled_agg_batches
-// > 0, zero fallbacks), agree with the interpreted oracle, and two
-// textually distinct SQL strings must share one compiled artifact
-// (artifact_shared_hits).
+// it checks that (a) every chain terminal — filter survivors, σ±, k-way
+// partition, join probe, group-by accumulate, probe+accumulate —
+// installs (its label is in the physical plan) and actually runs
+// (compiled_batches > 0, zero per-batch fallbacks, the fused-breaker
+// counters count the breaker shapes), (b) compiled
+// results are multiset-identical to the interpreted oracle, (c)
+// re-preparing the same query hits the artifact cache instead of
+// recompiling, (d) a textually distinct SQL string shares the cached
+// artifact (artifact_shared_hits), and (e) the scratch directory holds
+// no leaked sources/objects afterwards. Skips cleanly (exit 0, "n/a")
+// when the tier is compiled out or the host toolchain probe fails.
+// Exits nonzero on any failure.
 //
 // Flags: --rows=N           filter table cardinality (default 1000000)
 //        --rst-rows=N       RST rows per SF          (default 50000)
@@ -56,7 +53,6 @@
 //        --quick            20000/5000 rows, 3 reps
 //        --json             machine-readable report on stdout
 //        --assert-codegen   smoke probe (see above)
-//        --assert-codegen-joinagg   widened-region probe (see above)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -94,7 +90,7 @@ const char kTagged5Sql[] =
     "OR a2 >= 950 OR a4 <= 10 "
     "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)";
 
-// The widened-region shapes (r: --rows, s: 1% of r). *3 is near-unique
+// The breaker-terminal shapes (r: --rows, s: 1% of r). *3 is near-unique
 // in [0, rows), so a3 = b3 probes mostly miss (~1% hit) — a pure probe
 // benchmark. *1 links [0, 2·rows/1000] against s's [0, 2·|s|/1000], so
 // a1 = b1 fans out to ~5M joined rows that the fused shape folds
@@ -202,8 +198,8 @@ void PrintCellJson(const char* name, size_t batch, const Cell& c,
 
 // ----------------------------------------------------- --assert-codegen
 
-int Fail(const char* what) {
-  std::fprintf(stderr, "assert-codegen: FAILED: %s\n", what);
+int Fail(const char* what, const char* shape) {
+  std::fprintf(stderr, "assert-codegen: FAILED: %s (%s)\n", what, shape);
   return 1;
 }
 
@@ -217,190 +213,129 @@ int AssertCodegen(int64_t rst_rows) {
                  st.ToString().c_str());
     return 1;
   }
-  if (!db.AnalyzeAll().ok()) return Fail("ANALYZE failed");
+  if (!db.AnalyzeAll().ok()) return Fail("ANALYZE failed", "-");
   if (!CodegenEngine::BuiltWithCodegen() ||
       !db.codegen_engine()->Available()) {
     std::printf("assert-codegen: n/a (tier unavailable on this build)\n");
     return 0;
   }
+  auto options = [] {
+    QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
+    opts.enable_codegen = true;
+    opts.codegen_synchronous = true;
+    return opts;
+  };
 
+  // One query per chain terminal. `label` is the terminal's part of the
+  // CompiledPipeline operator label in the physical plan, so the probe
+  // sees which terminal actually installed.
   struct Shape {
     const char* name;
     const char* sql;
+    const char* label;
     bool tagged;
+    bool want_join;
+    bool want_agg;
   };
-  const Shape shapes[] = {{"filter", kFilterSql, false},
-                          {"bypass", kBypassSql, false},
-                          {"tagged", kTagged3Sql, true}};
+  const Shape shapes[] = {
+      {"filter", kFilterSql, "+ survivors,", false, false, false},
+      {"bypass", kBypassSql, "+ σ±,", false, false, false},
+      {"tagged", kTagged3Sql, "+ k=3,", true, false, false},
+      {"probe", "SELECT * FROM r, s WHERE a3 = b3", "+ probe,", false, true,
+       false},
+      {"accumulate", kGroupAggSql, "+ agg(", false, false, true},
+      {"fused", kJoinAggSql, "+ probe+agg(", false, true, true},
+  };
   for (const Shape& shape : shapes) {
-    QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
+    QueryOptions opts = options();
     opts.rewrite.use_tagged_partition = shape.tagged;
-    opts.enable_codegen = true;
-    opts.codegen_synchronous = true;
     auto prepared = db.Prepare(shape.sql, opts);
-    if (!prepared.ok()) return Fail("prepare failed");
-    // (a) the pipeline installs and actually runs natively.
+    if (!prepared.ok()) return Fail("prepare failed", shape.name);
+    // (a) the terminal installs and actually runs natively.
     if (prepared->compiled_pipelines() == 0) {
-      std::fprintf(stderr, "assert-codegen: FAILED: no pipeline (%s)\n",
-                   shape.name);
-      return 1;
+      return Fail("no pipeline installed", shape.name);
     }
     auto compiled = prepared->Execute(opts);
-    if (!compiled.ok()) return Fail("compiled execution failed");
-    if (compiled->stats.compiled_batches <= 0) {
-      return Fail("compiled code never ran (compiled_batches == 0)");
+    if (!compiled.ok()) return Fail("compiled execution failed", shape.name);
+    if (compiled->physical_plan.find(shape.label) == std::string::npos) {
+      return Fail("expected terminal not in the physical plan", shape.name);
     }
-    if (compiled->stats.compiled_fallback_batches != 0) {
-      return Fail("unexpected per-batch fallback");
+    const ExecStats& stats = compiled->stats;
+    if (stats.compiled_batches <= 0) {
+      return Fail("compiled code never ran", shape.name);
+    }
+    if (stats.compiled_fallback_batches != 0) {
+      return Fail("unexpected per-batch fallback", shape.name);
+    }
+    if (shape.tagged && stats.tagged_batches <= 0) {
+      return Fail("no tagged batches counted", shape.name);
+    }
+    if (shape.want_join && stats.compiled_join_batches <= 0) {
+      return Fail("join probe was not fused", shape.name);
+    }
+    if (shape.want_agg && stats.compiled_agg_batches <= 0) {
+      return Fail("group-by accumulate was not fused", shape.name);
     }
     // (b) multiset-identical to the interpreted oracle.
     QueryOptions interp = opts;
     interp.enable_codegen = false;
     auto oracle = db.Query(shape.sql, interp);
-    if (!oracle.ok()) return Fail("interpreted oracle failed");
+    if (!oracle.ok()) return Fail("interpreted oracle failed", shape.name);
     if (!RowMultisetsEqual(compiled->rows, oracle->rows)) {
-      std::fprintf(stderr,
-                   "assert-codegen: FAILED: compiled result diverges "
-                   "from the interpreter (%s)\n",
-                   shape.name);
-      return 1;
+      return Fail("compiled result diverges from the interpreter",
+                  shape.name);
     }
   }
 
   // (c) re-preparing hits the artifact cache, no recompilation.
   const CodegenStats before = db.codegen_engine()->stats();
-  QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-  opts.enable_codegen = true;
-  opts.codegen_synchronous = true;
-  auto again = db.Prepare(kFilterSql, opts);
+  auto again = db.Prepare(kFilterSql, options());
   if (!again.ok() || again->compiled_pipelines() == 0) {
-    return Fail("re-prepare lost the compiled pipeline");
+    return Fail("re-prepare lost the compiled pipeline", "cache");
+  }
+  const CodegenStats cached = db.codegen_engine()->stats();
+  if (cached.compiles != before.compiles) {
+    return Fail("re-prepare recompiled instead of hitting the cache",
+                "cache");
+  }
+  if (cached.cache_hits <= before.cache_hits) {
+    return Fail("re-prepare did not count an artifact cache hit", "cache");
+  }
+
+  // (d) cross-plan sharing: a textually distinct spelling of the fused
+  // query lowers to the same emitted source; the engine must serve the
+  // cached artifact (no recompile) and count the share.
+  const std::string variant =
+      "SELECT  a2,  COUNT(*),  SUM(a4) FROM r, s WHERE (a1 = b1) "
+      "GROUP BY a2";
+  auto shared = db.Prepare(variant, options());
+  if (!shared.ok() || shared->compiled_pipelines() == 0) {
+    return Fail("variant spelling lost the compiled pipeline", "shared");
   }
   const CodegenStats after = db.codegen_engine()->stats();
-  if (after.compiles != before.compiles) {
-    return Fail("re-prepare recompiled instead of hitting the cache");
+  if (after.compiles != cached.compiles) {
+    return Fail("variant spelling recompiled the artifact", "shared");
   }
-  if (after.cache_hits <= before.cache_hits) {
-    return Fail("re-prepare did not count an artifact cache hit");
+  if (after.artifact_shared_hits <= cached.artifact_shared_hits) {
+    return Fail("cross-plan artifact share was not counted", "shared");
   }
-  if (after.compile_errors != 0) return Fail("compile errors reported");
+  if (after.compile_errors != 0) return Fail("compile errors", "-");
 
-  // (d) temp hygiene: every emitted source/object is already unlinked.
+  // (e) temp hygiene: every emitted source/object is already unlinked.
   if (db.codegen_engine()->ScratchFileCount() != 0) {
-    return Fail("scratch directory leaked emitted files");
+    return Fail("scratch directory leaked emitted files", "scratch");
   }
 
   std::printf(
-      "assert-codegen: OK (%lld compiles, %lld cache hits, %.0f ms mean "
-      "compile, scratch clean)\n",
+      "assert-codegen: OK (6 terminals native, %lld compiles, %lld cache "
+      "hits, %lld shared, %.0f ms mean compile, scratch clean)\n",
       static_cast<long long>(after.compiles),
       static_cast<long long>(after.cache_hits),
+      static_cast<long long>(after.artifact_shared_hits),
       after.compiles > 0
           ? 1e3 * after.compile_seconds_total /
                 static_cast<double>(after.compiles)
           : 0.0);
-  return 0;
-}
-
-// ---------------------------------------- --assert-codegen-joinagg
-
-int FailJa(const char* what, const char* shape) {
-  std::fprintf(stderr, "assert-codegen-joinagg: FAILED: %s (%s)\n", what,
-               shape);
-  return 1;
-}
-
-int AssertCodegenJoinAgg(int64_t rst_rows) {
-  Database db;
-  RstOptions ro;
-  ro.rows_per_sf = rst_rows;
-  Status st = LoadRst(&db, 1, 0.1, 0.1, ro);
-  if (!st.ok()) {
-    std::fprintf(stderr, "assert-codegen-joinagg: load failed: %s\n",
-                 st.ToString().c_str());
-    return 1;
-  }
-  if (!db.AnalyzeAll().ok()) return FailJa("ANALYZE failed", "-");
-  if (!CodegenEngine::BuiltWithCodegen() ||
-      !db.codegen_engine()->Available()) {
-    std::printf(
-        "assert-codegen-joinagg: n/a (tier unavailable on this build)\n");
-    return 0;
-  }
-
-  struct Shape {
-    const char* name;
-    const char* sql;
-    bool want_join;
-    bool want_agg;
-  };
-  const Shape shapes[] = {
-      {"probe", "SELECT * FROM r, s WHERE a3 = b3", true, false},
-      {"accumulate", kGroupAggSql, false, true},
-      {"fused", kJoinAggSql, true, true},
-  };
-  for (const Shape& shape : shapes) {
-    QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-    opts.enable_codegen = true;
-    opts.codegen_synchronous = true;
-    auto prepared = db.Prepare(shape.sql, opts);
-    if (!prepared.ok()) return FailJa("prepare failed", shape.name);
-    if (prepared->compiled_pipelines() == 0) {
-      return FailJa("no pipeline installed", shape.name);
-    }
-    auto compiled = prepared->Execute(opts);
-    if (!compiled.ok()) {
-      return FailJa("compiled execution failed", shape.name);
-    }
-    if (compiled->stats.compiled_batches <= 0) {
-      return FailJa("compiled code never ran", shape.name);
-    }
-    if (compiled->stats.compiled_fallback_batches != 0) {
-      return FailJa("unexpected per-batch fallback", shape.name);
-    }
-    if (shape.want_join && compiled->stats.compiled_join_batches <= 0) {
-      return FailJa("join probe was not fused", shape.name);
-    }
-    if (shape.want_agg && compiled->stats.compiled_agg_batches <= 0) {
-      return FailJa("group-by accumulate was not fused", shape.name);
-    }
-    QueryOptions interp = opts;
-    interp.enable_codegen = false;
-    auto oracle = db.Query(shape.sql, interp);
-    if (!oracle.ok()) return FailJa("interpreted oracle failed", shape.name);
-    if (!RowMultisetsEqual(compiled->rows, oracle->rows)) {
-      return FailJa("compiled result diverges from the interpreter",
-                    shape.name);
-    }
-  }
-
-  // Cross-plan artifact sharing: a textually distinct spelling of the
-  // fused query lowers to the same emitted source; the engine must
-  // serve the cached artifact (no recompile) and count the share.
-  const CodegenStats before = db.codegen_engine()->stats();
-  QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-  opts.enable_codegen = true;
-  opts.codegen_synchronous = true;
-  const std::string variant =
-      "SELECT  a2,  COUNT(*),  SUM(a4) FROM r, s WHERE (a1 = b1) "
-      "GROUP BY a2";
-  auto again = db.Prepare(variant, opts);
-  if (!again.ok() || again->compiled_pipelines() == 0) {
-    return FailJa("variant spelling lost the compiled pipeline", "shared");
-  }
-  const CodegenStats after = db.codegen_engine()->stats();
-  if (after.compiles != before.compiles) {
-    return FailJa("variant spelling recompiled the artifact", "shared");
-  }
-  if (after.artifact_shared_hits <= before.artifact_shared_hits) {
-    return FailJa("cross-plan artifact share was not counted", "shared");
-  }
-
-  std::printf(
-      "assert-codegen-joinagg: OK (probe/accumulate/fused served "
-      "natively, %lld compiles, %lld shared hits)\n",
-      static_cast<long long>(after.compiles),
-      static_cast<long long>(after.artifact_shared_hits));
   return 0;
 }
 
@@ -415,9 +350,6 @@ int main(int argc, char** argv) {
   const int64_t rst_rows = flags.GetInt("rst-rows", quick ? 5000 : 50000);
 
   if (flags.Has("assert-codegen")) return AssertCodegen(rst_rows);
-  if (flags.Has("assert-codegen-joinagg")) {
-    return AssertCodegenJoinAgg(rst_rows);
-  }
 
   const bool json = flags.Has("json");
   if (!CodegenEngine::BuiltWithCodegen()) {
@@ -491,7 +423,7 @@ int main(int argc, char** argv) {
       {"tagged_k5", &rst_db, kTagged5Sql, tagged},
       {"q2d", &tpch_db, TpchQuery2d(), unnested},
   };
-  // The widened-region (generation 2) cells run on the filter fixture:
+  // The breaker-terminal cells run on the filter fixture:
   // r at --rows against its 1%-scale sibling s.
   const Row ja_rows[] = {
       {"join_probe", &filter_db, kJoinProbeSql, plain},

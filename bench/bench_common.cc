@@ -16,7 +16,7 @@ Flags::Flags(int argc, char** argv) {
     arg = arg.substr(2);
     const size_t eq = arg.find('=');
     if (eq == std::string::npos) {
-      values_[arg] = "1";
+      values_[arg] = std::string("1");
     } else {
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     }

@@ -141,18 +141,11 @@ echo "== bench_codegen (compiled vs interpreted, median of 5) =="
 CODEGEN_JSON=$(mktemp)
 "${CODEGEN}" --json 2>/dev/null >"${CODEGEN_JSON}"
 
-echo "== bench_codegen --assert-codegen (differential + hygiene probe) =="
+echo "== bench_codegen --assert-codegen (all six terminals + hygiene probe) =="
 if "${CODEGEN}" --assert-codegen; then
   CODEGEN_ASSERT=true
 else
   CODEGEN_ASSERT=false
-fi
-
-echo "== bench_codegen --assert-codegen-joinagg (widened-region probe) =="
-if "${CODEGEN}" --assert-codegen-joinagg; then
-  CODEGEN_JA_ASSERT=true
-else
-  CODEGEN_JA_ASSERT=false
 fi
 
 NPROC=$(nproc 2>/dev/null || echo 1)
@@ -161,7 +154,7 @@ python3 - "${OPS_JSON}" "${Q2D_TXT}" "${SCALE_TXT}" "${NPROC}" "${OUT}" \
   "${STATS_JSON}" "${HASH_JSON}" "${BUILD_INFO}" "${COL_JSON}" \
   "${TAGGED_JSON}" "${TAGGED_AUTOPICK}" "${SERVING_JSON}" \
   "${SERVING_ASSERT}" "${STORAGE_JSON}" "${STORAGE_ASSERT}" \
-  "${CODEGEN_JSON}" "${CODEGEN_ASSERT}" "${CODEGEN_JA_ASSERT}" <<'EOF'
+  "${CODEGEN_JSON}" "${CODEGEN_ASSERT}" <<'EOF'
 import json
 import statistics
 import sys
@@ -169,7 +162,7 @@ import sys
 (ops_json, q2d_txt, scale_txt, nproc, out_path, stats_json, hash_json,
  build_info, col_json, tagged_json, tagged_autopick, serving_json,
  serving_assert, storage_json, storage_assert, codegen_json,
- codegen_assert, codegen_ja_assert) = sys.argv[1:19]
+ codegen_assert) = sys.argv[1:18]
 
 # Medians measured at the seed commit (see header comment).
 SEED = {
@@ -345,15 +338,16 @@ report["storage"]["assert_storage"] = storage_assert == "true"
 
 # Codegen tier sweep: compiled pipelines (C++-emit + dlopen) vs the
 # interpreted vectorized kernels, paired per query shape and batch size
-# (the --json output carries both the generation-1 pipelines and the
-# widened-region join_agg cells), plus compile latency and the
-# break-even execution count of the headline filter pipeline;
-# assert_codegen records the differential + temp-hygiene probe's
-# verdict and assert_codegen_joinagg the widened-region probe's.
+# (the --json output carries the routing cells and the join_agg cells of
+# the breaker terminals), plus compile latency and the break-even
+# execution count of the headline filter pipeline; assert_codegen
+# records the one probe's verdict over all six terminals, and
+# assert_codegen_joinagg repeats it under the key BENCH_PR10 reports
+# were checked against.
 with open(codegen_json) as f:
     report["codegen"] = json.load(f)
 report["codegen"]["assert_codegen"] = codegen_assert == "true"
-report["codegen"]["assert_codegen_joinagg"] = codegen_ja_assert == "true"
+report["codegen"]["assert_codegen_joinagg"] = codegen_assert == "true"
 
 ops_scale = {}
 with open(ops_json) as f:

@@ -73,18 +73,13 @@ run "${BIN}/bench_serving" --assert-serving --rows=500
 # report zero segment accounting. Exits nonzero on failure.
 run "${BIN}/bench_storage" --quick --assert-storage
 
-# Codegen plumbing assertion: a compiled pipeline must install and run
-# natively on filter/bypass/tagged shapes with results multiset-identical
-# to the interpreted oracle, re-preparing must hit the artifact cache
-# instead of recompiling, and the scratch directory must hold no leaked
-# emitted files. Prints n/a and passes on builds without the tier.
+# Codegen plumbing assertion: every chain terminal (filter survivors,
+# σ±, k-way partition, join probe, group-by accumulate, probe+accumulate)
+# must install and run natively with zero fallbacks and results
+# multiset-identical to the interpreted oracle; re-preparing must hit the
+# artifact cache, a textually distinct spelling must share the cached
+# artifact, and the scratch directory must hold no leaked emitted files.
+# Prints n/a and passes on builds without the tier.
 run "${BIN}/bench_codegen" --assert-codegen --rst-rows=2000
-
-# Widened-region assertion: each generation-2 shape (join probe, group-by
-# accumulate, fused probe+accumulate) must install, serve every batch
-# natively with zero fallbacks, agree with the interpreted oracle, and a
-# textually distinct respelling must share the cached artifact instead of
-# recompiling. Prints n/a and passes on builds without the tier.
-run "${BIN}/bench_codegen" --assert-codegen-joinagg --rst-rows=2000
 
 echo "bench-smoke OK"

@@ -284,25 +284,19 @@ Result<std::shared_ptr<const CompiledArtifact>> CodegenEngine::Compile(
     return Status::Internal(std::string("codegen: dlopen failed: ") +
                             (err != nullptr ? err : "?"));
   }
-  // Dispatch on the exported ABI generation: 1 = routing chains
-  // (bypass_cg_run), 2 = widened probe/accumulate chains
-  // (bypass_cg_run2). Anything else is a stale or foreign object.
+  // A stale or foreign object (another ABI version, missing entry point)
+  // is refused rather than called with mismatched structs.
   using AbiFn = long long (*)();
   AbiFn abi = reinterpret_cast<AbiFn>(dlsym(handle, "bypass_cg_abi"));
-  const long long version = abi != nullptr ? abi() : 0;
   CgRunFn run = nullptr;
-  CgRun2Fn run2 = nullptr;
-  if (version == kCgAbiVersion) {
+  if (abi != nullptr && abi() == kCgAbiVersion) {
     run = reinterpret_cast<CgRunFn>(dlsym(handle, "bypass_cg_run"));
-  } else if (version == kCgAbiVersion2) {
-    run2 = reinterpret_cast<CgRun2Fn>(dlsym(handle, "bypass_cg_run2"));
   }
-  if (run == nullptr && run2 == nullptr) {
+  if (run == nullptr) {
     dlclose(handle);
     return Status::Internal("codegen: ABI mismatch in emitted object");
   }
-  return std::make_shared<const CompiledArtifact>(handle, version, run,
-                                                  run2, hash, epoch,
+  return std::make_shared<const CompiledArtifact>(handle, run, hash, epoch,
                                                   seconds);
 }
 
@@ -467,8 +461,6 @@ void CodegenEngine::ProcessOne(Pending) {}
 void CodegenEngine::NoteSharedHitLocked(uint64_t, uint64_t) {}
 
 int CodegenEngine::ScratchFileCount() const { return 0; }
-
-CompiledArtifact::~CompiledArtifact() = default;
 
 #endif  // BYPASS_CODEGEN_ENABLED
 

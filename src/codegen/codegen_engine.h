@@ -1,5 +1,5 @@
 // CodegenEngine: the JIT tier's compile service (DESIGN.md §12). Plans
-// whose filter/bypass/partition chains lower to C++ (codegen/lower_chain.h)
+// whose scan-rooted chains lower to C++ (codegen/lower_chain.h)
 // submit the emitted source here; the engine compiles it with the host
 // compiler into a shared object, dlopens it, and publishes the entry point
 // through a CompiledFnSlot. Compilation is asynchronous by default — the
@@ -48,6 +48,9 @@ namespace bypass {
 //     these layouts verbatim (it includes no headers); kCgAbiVersion is
 //     exported by every artifact and checked after dlopen so a layout
 //     change can never call into a stale object with mismatched structs.
+//     The breaker terminals probe the interpreter's own hash structures
+//     through the read-only slot views below (layouts static_assert-
+//     pinned at the export sites).
 
 /// One input column as raw pointers: `data` is the typed array
 /// (int64_t/double/uint8_t), `offsets`+`chars` the string arena for
@@ -67,21 +70,6 @@ struct CgBatch {
   const uint32_t* sel;
   uint64_t n;
 };
-
-/// Entry point: routes each selected row to exactly one output port (or
-/// drops it), writing storage indices to outs[p] and the per-port counts
-/// to counts[p]. The caller sizes each outs[p] to n.
-using CgRunFn = void (*)(const CgBatch*, uint32_t* const* outs,
-                         uint64_t* counts);
-
-inline constexpr long long kCgAbiVersion = 1;
-
-// --- ABI generation 2: the widened compiled region (DESIGN.md §12).
-//     Chains may terminate in a fused hash-join probe and/or group-by
-//     accumulate loop; the emitted TU probes the interpreter's own hash
-//     structures through the read-only slot views below (layouts
-//     static_assert-pinned at the export sites) and folds aggregates
-//     into caller-provided SoA accumulator arrays.
 
 /// JoinHashTable exposed to emitted code (JoinHashTable::JoinInt64View
 /// plus per-worker probe scratch sized to the batch by the caller).
@@ -107,20 +95,29 @@ struct CgGroupView {
   uint64_t num_entries;
 };
 
-/// Generation-2 entry point. `accs` carries 5 SoA arrays per aggregate
-/// (count, int-sum, double-sum, extreme, has-extreme), indexed by dense
-/// group entry; `out_a`/`out_b` are the pair cursor (probe shape: batch
-/// position / build-row index; group shapes: batch position / match
-/// multiplicity of rows whose group missed the snapshot). `start_row`
-/// resumes a probe batch whose matches overflowed `out_cap` at a row
-/// boundary; counts[0] = pairs written, counts[1] = rows consumed.
-using CgRun2Fn = void (*)(const CgBatch*, const CgJoinView*,
-                          const CgGroupView*, void* const* accs,
-                          uint32_t* out_a, uint32_t* out_b,
-                          uint64_t out_cap, uint64_t start_row,
-                          uint64_t* counts);
+/// The one entry point every artifact exports (bypass_cg_run). `outs`
+/// are the output cursors and `counts` what the terminal wrote to them:
+///   * routing terminals (filter survivors, σ±, k-way) write each
+///     selected row's storage index to exactly one port cursor outs[p]
+///     (or drop it) and the per-port counts to counts[p]; the caller
+///     sizes each outs[p] to n. `jv`, `gv`, `accs`, `out_cap` and
+///     `start_row` are unused.
+///   * breaker terminals use outs[0]/outs[1] as a pair cursor of
+///     capacity `out_cap` — (batch position, build row) for a probe,
+///     (batch position, match multiplicity) for rows whose group missed
+///     the `gv` snapshot. `accs` carries 5 SoA arrays per aggregate
+///     (count, int-sum, double-sum, extreme, has-extreme) indexed by
+///     dense group entry. `start_row` resumes a probe batch whose
+///     matches overflowed the cursor at a row boundary; counts[0] =
+///     pairs written, counts[1] = rows consumed.
+using CgRunFn = void (*)(const CgBatch*, const CgJoinView* jv,
+                         const CgGroupView* gv, void* const* accs,
+                         uint32_t* const* outs, uint64_t out_cap,
+                         uint64_t start_row, uint64_t* counts);
 
-inline constexpr long long kCgAbiVersion2 = 2;
+/// Versions 1 and 2 were the retired split routing / probe-accumulate
+/// entry points; objects exporting them are refused.
+inline constexpr long long kCgAbiVersion = 3;
 
 /// FNV-1a hash of the emitted source — the artifact cache key.
 uint64_t CgHashSource(const std::string& source);
@@ -130,13 +127,10 @@ uint64_t CgHashSource(const std::string& source);
 /// (the backing file was already unlinked at load time).
 class CompiledArtifact {
  public:
-  CompiledArtifact(void* handle, long long abi, CgRunFn run,
-                   CgRun2Fn run2, uint64_t source_hash,
+  CompiledArtifact(void* handle, CgRunFn run, uint64_t source_hash,
                    uint64_t stats_epoch, double compile_seconds)
       : handle_(handle),
-        abi_(abi),
         run_(run),
-        run2_(run2),
         source_hash_(source_hash),
         stats_epoch_(stats_epoch),
         compile_seconds_(compile_seconds) {}
@@ -144,20 +138,14 @@ class CompiledArtifact {
   CompiledArtifact(const CompiledArtifact&) = delete;
   CompiledArtifact& operator=(const CompiledArtifact&) = delete;
 
-  /// The ABI generation the artifact exported (1 or 2); exactly the
-  /// matching entry point below is non-null.
-  long long abi() const { return abi_; }
   CgRunFn run() const { return run_; }
-  CgRun2Fn run2() const { return run2_; }
   uint64_t source_hash() const { return source_hash_; }
   uint64_t stats_epoch() const { return stats_epoch_; }
   double compile_seconds() const { return compile_seconds_; }
 
  private:
   void* handle_;
-  long long abi_;
   CgRunFn run_;
-  CgRun2Fn run2_;
   uint64_t source_hash_;
   uint64_t stats_epoch_;
   double compile_seconds_;

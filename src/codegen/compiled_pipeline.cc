@@ -45,19 +45,16 @@ CompiledPipelineOp::CompiledPipelineOp(CompiledFnSlotPtr slot,
       head_(head),
       join_(join),
       group_(group) {
-  if (chain_.generation == 2) {
-    const ChainTerminal& t = chain_.terminal;
-    if (join_ != nullptr) {
-      jk_col_ = FindSlotIndex(chain_.slots, t.probe_slot, DataType::kInt64);
-    }
-    if (group_ != nullptr) {
-      gk_col_ = FindSlotIndex(chain_.slots, t.group_slot, DataType::kInt64);
-      agg_cols_.reserve(t.aggs.size());
-      for (const CgAggFold& a : t.aggs) {
-        agg_cols_.push_back(a.star ? -1
-                                   : FindSlotIndex(chain_.slots, a.slot,
-                                                   a.type));
-      }
+  const ChainTerminal& t = chain_.terminal;
+  if (join_ != nullptr) {
+    jk_col_ = FindSlotIndex(chain_.slots, t.probe_slot, DataType::kInt64);
+  }
+  if (group_ != nullptr) {
+    gk_col_ = FindSlotIndex(chain_.slots, t.group_slot, DataType::kInt64);
+    agg_cols_.reserve(t.aggs.size());
+    for (const CgAggFold& a : t.aggs) {
+      agg_cols_.push_back(
+          a.star ? -1 : FindSlotIndex(chain_.slots, a.slot, a.type));
     }
   }
 }
@@ -65,11 +62,15 @@ CompiledPipelineOp::CompiledPipelineOp(CompiledFnSlotPtr slot,
 Status CompiledPipelineOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
   scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
-  const size_t ports = static_cast<size_t>(chain_.num_out_ports);
+  // Routing terminals write one cursor per port; breakers write the two
+  // columns of the pair cursor.
+  const size_t cursors = IsBreakerTerminal(chain_.terminal.kind)
+                             ? 2
+                             : static_cast<size_t>(chain_.num_out_ports);
   for (Scratch& s : scratch_) {
-    s.streams.resize(ports);
-    s.outs.resize(ports);
-    s.counts.resize(ports);
+    s.cursors.resize(cursors);
+    s.outs.resize(cursors);
+    s.counts.resize(cursors);
     s.cols.resize(chain_.slots.size());
     // Aggregate partials never survive an execution: the group-by's maps
     // were Reset, so stale SoA entries would merge into the wrong groups.
@@ -259,99 +260,118 @@ void CompiledPipelineOp::FoldInto(Scratch* s, size_t j, uint32_t idx,
   }
 }
 
-Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
-                                      const CompiledArtifact* artifact,
-                                      const CgBatch& cg, CgJoinView* jv,
-                                      CgGroupView* gv) {
-  ExecStats* stats = ctx_->stats();
-  const uint64_t n = cg.n;
-  if (s.pair_a.size() < n) {
-    s.pair_a.resize(n);
-    s.pair_b.resize(n);
+void CompiledPipelineOp::SizeCursors(Scratch* s, size_t n) {
+  for (size_t p = 0; p < s->cursors.size(); ++p) {
+    if (s->cursors[p].size() < n) s->cursors[p].resize(n);
+    s->outs[p] = s->cursors[p].data();
   }
+}
 
-  if (chain_.terminal.kind == ChainTerminalKind::kJoinProbe) {
-    // Resume protocol: the emitted loop stops at a row boundary when the
-    // next row's matches would overflow the pair cursor; drain what it
-    // wrote and re-enter at counts[1]. Zero progress means a single row
-    // outgrew the cursor — double and retry (pass 1 only re-runs in the
-    // start_row == 0 retry, where it is idempotent).
-    const std::vector<Row>& build = join_->build_rows();
-    const uint32_t* sel = cg.sel;
-    uint64_t start = 0;
-    for (;;) {
-      uint64_t counts[2] = {0, 0};
-      artifact->run2()(&cg, jv, gv, nullptr, s.pair_a.data(),
-                       s.pair_b.data(), s.pair_a.size(), start, counts);
-      if (counts[0] > 0) {
-        std::vector<Row> rows;
-        rows.reserve(counts[0]);
-        for (uint64_t k = 0; k < counts[0]; ++k) {
-          rows.push_back(join_->keep().Concat(
-              batch.storage_row(sel[s.pair_a[k]]), build[s.pair_b[k]]));
-        }
-        BYPASS_RETURN_IF_ERROR(
-            Emit(kPortOut, RowBatch::FromRows(std::move(rows))));
+Status CompiledPipelineOp::Route(RowBatch batch, Scratch& s) {
+  auto selection = [&s](size_t p) {
+    return std::vector<uint32_t>(
+        s.cursors[p].begin(),
+        s.cursors[p].begin() + static_cast<ptrdiff_t>(s.counts[p]));
+  };
+  // Narrows the batch to the port-0 cursor, recycling the old selection
+  // as the next batch's cursor. Nothing dropped keeps the batch (and its
+  // dense flag) untouched.
+  auto narrow_to_port0 = [&] {
+    if (s.counts[0] == batch.size()) return;
+    s.cursors[0].resize(s.counts[0]);
+    batch.SwapSelection(&s.cursors[0]);
+  };
+  switch (chain_.terminal.kind) {
+    case ChainTerminalKind::kPartitionK: {
+      const size_t streams = static_cast<size_t>(chain_.num_out_ports);
+      ctx_->stats()->AddTaggedBatch(streams,
+                                    [&s](size_t i) { return s.counts[i]; });
+      for (size_t i = 0; i < streams; ++i) {
+        if (s.counts[i] == 0) continue;
+        BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i),
+                                    batch.ShareWithSelection(selection(i))));
       }
-      if (counts[1] >= n) break;
-      if (counts[1] == start) {
-        s.pair_a.resize(s.pair_a.size() * 2);
-        s.pair_b.resize(s.pair_b.size() * 2);
-        continue;
-      }
-      start = counts[1];
+      return Status::OK();
     }
-    stats->compiled_batches += 1;
-    stats->compiled_join_batches += 1;
-    return Status::OK();
+    case ChainTerminalKind::kBypass: {
+      // The negative view is built before the positive selection mutates
+      // the batch (BypassFilterOp's order).
+      RowBatch negative = batch.ShareWithSelection(selection(1));
+      narrow_to_port0();
+      BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
+      return Emit(kPortNegative, std::move(negative));
+    }
+    default:  // kFilter: one surviving selection
+      narrow_to_port0();
+      return Emit(kPortOut, std::move(batch));
   }
+}
 
-  // Group shapes emit at most one miss pair per row, so the batch-sized
-  // cursor never overflows and a single call consumes every row.
-  uint64_t counts[2] = {0, 0};
-  artifact->run2()(&cg, jv, gv, s.acc_ptrs.data(), s.pair_a.data(),
-                   s.pair_b.data(), n, 0, counts);
+Status CompiledPipelineOp::EmitProbePairs(const RowBatch& batch,
+                                          Scratch& s, CgRunFn run,
+                                          const CgBatch& cg,
+                                          const CgJoinView& jv) {
+  // Resume protocol: the emitted loop stops at a row boundary when the
+  // next row's matches would overflow the pair cursor; drain what it
+  // wrote and re-enter at counts[1]. Zero progress means a single row
+  // outgrew the cursor — double and retry (pass 1 only re-runs in the
+  // start_row == 0 retry, where it is idempotent).
+  const std::vector<Row>& build = join_->build_rows();
+  uint64_t start = 0;
+  for (;;) {
+    run(&cg, &jv, nullptr, nullptr, s.outs.data(), s.cursors[0].size(),
+        start, s.counts.data());
+    if (s.counts[0] > 0) {
+      std::vector<Row> rows;
+      rows.reserve(s.counts[0]);
+      for (uint64_t k = 0; k < s.counts[0]; ++k) {
+        rows.push_back(join_->keep().Concat(
+            batch.storage_row(cg.sel[s.cursors[0][k]]),
+            build[s.cursors[1][k]]));
+      }
+      BYPASS_RETURN_IF_ERROR(
+          Emit(kPortOut, RowBatch::FromRows(std::move(rows))));
+    }
+    if (s.counts[1] >= cg.n) return Status::OK();
+    if (s.counts[1] == start) {
+      SizeCursors(&s, s.cursors[0].size() * 2);
+      continue;
+    }
+    start = s.counts[1];
+  }
+}
 
-  if (counts[0] > 0) {
-    // Phase B: rows whose group missed the per-worker snapshot. Insert
-    // the group (dense entry index addresses the SoA) and fold with the
-    // row's match multiplicity — pairs arrive in row order, and a key
-    // can only miss once per batch, so per-group fold order equals the
-    // interpreter's row order.
-    HashGroupByOp::GroupMap* gm =
-        group_->worker_groups(static_cast<size_t>(CurrentWorkerId()));
-    const std::vector<AggregateSpec>* specs = group_->aggregates();
-    const std::vector<CgAggFold>& aggs = chain_.terminal.aggs;
-    const uint32_t* sel = cg.sel;
-    const CgCol& kc = s.cols[static_cast<size_t>(gk_col_)];
-    for (uint64_t k = 0; k < counts[0]; ++k) {
-      const uint32_t rr = sel[s.pair_a[k]];
-      const uint32_t mult = s.pair_b[k];
-      const bool knull = NullAt(kc, rr);
-      const int64_t kv =
-          knull ? 0 : static_cast<const int64_t*>(kc.data)[rr];
-      const uint32_t idx = gm->FindOrEmplaceInt64Idx(kv, knull, [&] {
-        return std::make_unique<AggregatorSet>(specs);
-      });
-      if (!aggs.empty() &&
-          static_cast<size_t>(idx) >= s.soa[0].count.size()) {
-        EnsureSoA(&s, static_cast<size_t>(idx) + 1);
-      }
-      for (size_t j = 0; j < aggs.size(); ++j) {
-        FoldInto(&s, j, idx,
-                 aggs[j].star ? CgCol{}
-                              : s.cols[static_cast<size_t>(agg_cols_[j])],
-                 rr, mult);
-      }
+void CompiledPipelineOp::FoldMisses(Scratch& s, const CgBatch& cg,
+                                    uint64_t misses) {
+  // Phase B: rows whose group missed the per-worker snapshot. Insert the
+  // group (dense entry index addresses the SoA) and fold with the row's
+  // match multiplicity — pairs arrive in row order, and a key can only
+  // miss once per batch, so per-group fold order equals the
+  // interpreter's row order.
+  if (misses == 0) return;
+  HashGroupByOp::GroupMap* gm =
+      group_->worker_groups(static_cast<size_t>(CurrentWorkerId()));
+  const std::vector<AggregateSpec>* specs = group_->aggregates();
+  const std::vector<CgAggFold>& aggs = chain_.terminal.aggs;
+  const CgCol& kc = s.cols[static_cast<size_t>(gk_col_)];
+  for (uint64_t k = 0; k < misses; ++k) {
+    const uint32_t rr = cg.sel[s.cursors[0][k]];
+    const uint32_t mult = s.cursors[1][k];
+    const bool knull = NullAt(kc, rr);
+    const int64_t kv = knull ? 0 : static_cast<const int64_t*>(kc.data)[rr];
+    const uint32_t idx = gm->FindOrEmplaceInt64Idx(kv, knull, [&] {
+      return std::make_unique<AggregatorSet>(specs);
+    });
+    if (!aggs.empty() && static_cast<size_t>(idx) >= s.soa[0].count.size()) {
+      EnsureSoA(&s, static_cast<size_t>(idx) + 1);
+    }
+    for (size_t j = 0; j < aggs.size(); ++j) {
+      FoldInto(&s, j, idx,
+               aggs[j].star ? CgCol{}
+                            : s.cols[static_cast<size_t>(agg_cols_[j])],
+               rr, mult);
     }
   }
-
-  stats->compiled_batches += 1;
-  stats->compiled_agg_batches += 1;
-  if (chain_.terminal.kind == ChainTerminalKind::kJoinGroupBy) {
-    stats->compiled_join_batches += 1;
-  }
-  return Status::OK();
 }
 
 void CompiledPipelineOp::AbsorbSoA() {
@@ -395,112 +415,52 @@ Status CompiledPipelineOp::Consume(int, RowBatch batch) {
       slot_ != nullptr ? slot_->ready() : nullptr;
   Scratch& s = scratch_[static_cast<size_t>(CurrentWorkerId())];
   CgBatch cg;
-
-  if (chain_.generation == 2) {
-    CgJoinView jv{};
-    CgGroupView gv{};
-    if (artifact == nullptr || artifact->abi() != kCgAbiVersion2 ||
-        !FillBatch(batch, &s, &cg) ||
-        !PrepareViews(&s, batch.size(), &jv, &gv)) {
-      // Still compiling, a per-batch guard failed, or the fused breaker's
-      // hash structure is not probe-able (unpublished join view, demoted
-      // group map): the interpreted chain — whose terminal is that same
-      // breaker — handles this batch.
-      ctx_->stats()->compiled_fallback_batches += 1;
-      return head_->Consume(0, std::move(batch));
-    }
-    return RunWidened(std::move(batch), s, artifact, cg, &jv, &gv);
-  }
-
-  if (artifact == nullptr || !FillBatch(batch, &s, &cg)) {
-    // Still compiling, compile failed, or guards said no: the original
-    // interpreted chain handles this batch and emits to the same
-    // consumers.
+  CgJoinView jv{};
+  CgGroupView gv{};
+  if (artifact == nullptr || !FillBatch(batch, &s, &cg) ||
+      !PrepareViews(&s, batch.size(), &jv, &gv)) {
+    // Still compiling, compile failed, a per-batch guard said no, or a
+    // fused breaker's hash structure is not probe-able (unpublished join
+    // view, demoted group map): the interpreted chain — which ends in the
+    // same terminal and feeds the same consumers — handles this batch.
     ctx_->stats()->compiled_fallback_batches += 1;
     return head_->Consume(0, std::move(batch));
   }
-
-  const size_t ports = static_cast<size_t>(chain_.num_out_ports);
-  const size_t n = batch.size();
-  for (size_t p = 0; p < ports; ++p) {
-    if (s.streams[p].size() < n) s.streams[p].resize(n);
-    s.outs[p] = s.streams[p].data();
-  }
-  artifact->run()(&cg, s.outs.data(), s.counts.data());
   ExecStats* stats = ctx_->stats();
   stats->compiled_batches += 1;
-
-  const bool was_dense = batch.dense();
-  if (chain_.tagged) {
-    // Mirror BypassPartitionKOp's accounting: one tagged batch, row
-    // counts for every stream including empty ones and the remainder.
-    const size_t k = static_cast<size_t>(chain_.tagged_k);
-    stats->tagged_batches += 1;
-    if (stats->tagged_stream_rows.size() < k + 1) {
-      stats->tagged_stream_rows.resize(k + 1, 0);
-    }
-    for (size_t i = 0; i <= k; ++i) {
-      stats->tagged_stream_rows[i] += static_cast<int64_t>(s.counts[i]);
-      if (s.counts[i] == 0) continue;
-      RowBatch out = batch.ShareWithSelection(std::vector<uint32_t>(
-          s.streams[i].begin(),
-          s.streams[i].begin() + static_cast<ptrdiff_t>(s.counts[i])));
-      if (was_dense && !out.empty() &&
-          out.selection().back() - out.selection().front() + 1 ==
-              out.size()) {
-        out.MarkDense();
+  const CgRunFn run = artifact->run();
+  SizeCursors(&s, cg.n);
+  switch (chain_.terminal.kind) {
+    case ChainTerminalKind::kFilter:
+    case ChainTerminalKind::kBypass:
+    case ChainTerminalKind::kPartitionK:
+      run(&cg, nullptr, nullptr, nullptr, s.outs.data(), cg.n, 0,
+          s.counts.data());
+      return Route(std::move(batch), s);
+    case ChainTerminalKind::kJoinProbe:
+      stats->compiled_join_batches += 1;
+      return EmitProbePairs(batch, s, run, cg, jv);
+    case ChainTerminalKind::kGroupBy:
+    case ChainTerminalKind::kJoinGroupBy:
+      // At most one miss pair per row, so the batch-sized cursor never
+      // overflows and a single call consumes every row.
+      run(&cg, &jv, &gv, s.acc_ptrs.data(), s.outs.data(), cg.n, 0,
+          s.counts.data());
+      FoldMisses(s, cg, s.counts[0]);
+      stats->compiled_agg_batches += 1;
+      if (chain_.terminal.kind == ChainTerminalKind::kJoinGroupBy) {
+        stats->compiled_join_batches += 1;
       }
-      BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i), std::move(out)));
-    }
-    return Status::OK();
+      return Status::OK();
   }
-
-  if (ports == 2) {
-    // σ± split: negative view is built before the positive selection
-    // mutates the batch (BypassFilterOp's order).
-    RowBatch negative = batch.ShareWithSelection(std::vector<uint32_t>(
-        s.streams[1].begin(),
-        s.streams[1].begin() + static_cast<ptrdiff_t>(s.counts[1])));
-    if (s.counts[0] != n) {
-      batch.selection().assign(
-          s.streams[0].begin(),
-          s.streams[0].begin() + static_cast<ptrdiff_t>(s.counts[0]));
-      if (was_dense && !batch.empty() &&
-          batch.selection().back() - batch.selection().front() + 1 ==
-              batch.size()) {
-        batch.MarkDense();
-      }
-    }
-    if (was_dense && !negative.empty() &&
-        negative.selection().back() - negative.selection().front() + 1 ==
-            negative.size()) {
-      negative.MarkDense();
-    }
-    BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
-    return Emit(kPortNegative, std::move(negative));
-  }
-
-  // Pure σ chain: one surviving selection.
-  if (s.counts[0] == n) {
-    // Nothing dropped — keep the batch (and its dense flag) untouched.
-    return Emit(kPortOut, std::move(batch));
-  }
-  batch.selection().assign(
-      s.streams[0].begin(),
-      s.streams[0].begin() + static_cast<ptrdiff_t>(s.counts[0]));
-  if (was_dense && !batch.empty() &&
-      batch.selection().back() - batch.selection().front() + 1 ==
-          batch.size()) {
-    batch.MarkDense();
-  }
-  return Emit(kPortOut, std::move(batch));
+  return Status::OK();
 }
 
 Status CompiledPipelineOp::FinishPort(int) {
   // A fused accumulate loop's partials must land in the group-by's
   // worker AggregatorSets before end-of-stream reaches its merge (which
   // runs through the interpreted chain below).
-  if (chain_.generation == 2 && group_ != nullptr) AbsorbSoA();
+  if (group_ != nullptr) AbsorbSoA();
   // End-of-stream always flows through the interpreted chain: its
   // terminal still owns the consumer edges and sends the single finish
   // per port. Emitting a second finish here would double-close the

@@ -1,28 +1,31 @@
 // CompiledPipelineOp: the phys-op face of the codegen tier (DESIGN.md
 // §12). It is spliced between a table scan and the consumers of a
-// lowered filter/σ±/k-way-partition chain, and routes each batch either
-// through the compiled function (one native pass producing every output
-// port's selection) or — while the async compile is still pending, when
-// the batch carries no typed columns, or when a per-batch guard fails —
-// through the original interpreted chain, which remains wired to the
-// same consumers. Both paths are batch-exact: same routing, same
-// ordering, same dense-flag discipline, so mixed compiled/interpreted
-// executions are indistinguishable downstream.
+// lowered chain — σ filters plus one terminal — and runs each batch
+// either through the compiled function (one native pass) or — while the
+// async compile is still pending, when the batch carries no typed
+// columns, or when a per-batch guard fails — through the original
+// interpreted chain, which remains wired to the same consumers. Both
+// paths are batch-exact, so mixed compiled/interpreted executions are
+// indistinguishable downstream.
 //
-// Generation-2 chains (widened region) additionally fuse the chain's
-// terminal pipeline breaker into the emitted function:
-//   * hash-join probe: the compiled loop probes the interpreted
-//     HashJoinOp's published slot view and returns (position, build row)
-//     pairs; this operator materializes the concatenated rows and emits
-//     them to the join's consumers. A full pair cursor resumes at a row
-//     boundary with a doubled buffer.
-//   * group-by accumulate: hits against the owning worker's group-map
-//     snapshot fold into per-worker SoA accumulators inside the emitted
-//     loop; missed rows come back as (position, multiplicity) pairs and
-//     are folded here after inserting their groups (phase B) — fold
-//     order per group equals the interpreter's row order, so results
-//     are bit-identical. FinishPort absorbs the SoA partials into the
-//     worker AggregatorSets before end-of-stream reaches the group-by.
+// What the operator does with the function's output depends on the
+// terminal:
+//   * routing terminals (filter survivors, σ±, k-way partition): the
+//     port cursors become the emitted batches' selections — same
+//     routing, ordering and dense-flag discipline as the interpreter.
+//   * hash-join probe: (position, build row) pairs against the
+//     interpreted HashJoinOp's published slot view; this operator
+//     materializes the concatenated rows and emits them to the join's
+//     consumers. A full pair cursor resumes at a row boundary with a
+//     doubled buffer.
+//   * group-by accumulate (with or without a fused probe): hits against
+//     the owning worker's group-map snapshot fold into per-worker SoA
+//     accumulators inside the emitted loop; missed rows come back as
+//     (position, multiplicity) pairs and are folded here after
+//     inserting their groups (phase B) — fold order per group equals
+//     the interpreter's row order, so results are bit-identical.
+//     FinishPort absorbs the SoA partials into the worker AggregatorSets
+//     before end-of-stream reaches the group-by.
 #ifndef BYPASSDB_CODEGEN_COMPILED_PIPELINE_H_
 #define BYPASSDB_CODEGEN_COMPILED_PIPELINE_H_
 
@@ -46,12 +49,11 @@ class CompiledPipelineOp : public UnaryPhysOp {
   /// operator of the interpreted chain — the fallback entry point; the
   /// chain's terminal keeps its consumer edges, so fallback batches and
   /// end-of-stream reach the same consumers this operator emits to.
-  /// Generation-2 chains pass the fused breakers: `join` for probe
+  /// Breaker terminals pass the fused breakers: `join` for probe
   /// terminals, `group` for accumulate terminals (both for the fully
-  /// fused shape); generation-1 chains pass nullptr for both.
+  /// fused shape); routing terminals pass nullptr for both.
   CompiledPipelineOp(CompiledFnSlotPtr slot, LoweredChain chain,
-                     PhysOp* head, HashJoinOp* join = nullptr,
-                     HashGroupByOp* group = nullptr);
+                     PhysOp* head, HashJoinOp* join, HashGroupByOp* group);
 
   Status Prepare(ExecContext* ctx) override;
   Status Consume(int in_port, RowBatch batch) override;
@@ -70,20 +72,19 @@ class CompiledPipelineOp : public UnaryPhysOp {
     std::vector<uint8_t> has;
   };
 
-  /// Per-worker run state, padded against false sharing. Stream vectors
-  /// are grow-only across batches.
+  /// Per-worker run state, padded against false sharing. The output
+  /// cursors (one per port for routing terminals, the two pair columns
+  /// for breakers) are grow-only across batches.
   struct alignas(64) Scratch {
-    std::vector<std::vector<uint32_t>> streams;
+    std::vector<std::vector<uint32_t>> cursors;
     std::vector<uint32_t*> outs;
     std::vector<uint64_t> counts;
     std::vector<CgCol> cols;
-    // Generation-2 state: probe scratch (pass 1 → pass 2), the pair
-    // cursor, and this worker's SoA aggregate partials.
+    // Breaker state: probe scratch (pass 1 → pass 2) and this worker's
+    // SoA aggregate partials.
     std::vector<uint64_t> jhash;
     std::vector<int64_t> jkey;
     std::vector<uint8_t> jvalid;
-    std::vector<uint32_t> pair_a;
-    std::vector<uint32_t> pair_b;
     std::vector<AggSoA> soa;
     std::vector<void*> acc_ptrs;
   };
@@ -93,16 +94,20 @@ class CompiledPipelineOp : public UnaryPhysOp {
   /// mixed mode or type-mismatched) — the caller then falls back.
   bool FillBatch(const RowBatch& batch, Scratch* s, CgBatch* cg);
 
-  /// Generation-2 per-batch guards: join view published, this worker's
-  /// group map still exportable. Fills the ABI views, sizes the probe
-  /// scratch/pair cursor/SoA, and rebuilds acc_ptrs.
+  /// Breaker per-batch guards: join view published, this worker's group
+  /// map still exportable. Fills the ABI views, sizes the probe scratch
+  /// and SoA, and rebuilds acc_ptrs. Always true for routing terminals.
   bool PrepareViews(Scratch* s, size_t n, CgJoinView* jv, CgGroupView* gv);
 
-  /// Runs the generation-2 entry point and handles its output protocol
-  /// (join pair emission with resume, phase-B group inserts + folds).
-  Status RunWidened(RowBatch batch, Scratch& s,
-                    const CompiledArtifact* artifact, const CgBatch& cg,
-                    CgJoinView* jv, CgGroupView* gv);
+  /// Sizes every output cursor to hold `n` entries and points outs at
+  /// them.
+  void SizeCursors(Scratch* s, size_t n);
+
+  /// Output protocols of the three terminal families.
+  Status Route(RowBatch batch, Scratch& s);
+  Status EmitProbePairs(const RowBatch& batch, Scratch& s, CgRunFn run,
+                        const CgBatch& cg, const CgJoinView& jv);
+  void FoldMisses(Scratch& s, const CgBatch& cg, uint64_t misses);
 
   /// Ensures every SoA array covers `entries` dense group entries
   /// (zero-filled growth; existing partials are preserved).

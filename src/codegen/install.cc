@@ -18,85 +18,53 @@
 namespace bypass {
 namespace {
 
-/// A scan-rooted chain of supported stages. `ops` parallels `stages`;
-/// ops.front() is the fallback entry, ops.back() the terminal whose
-/// output ports the compiled operator mirrors. `next` is the first
-/// operator past the filter prefix when the chain did not close on a
-/// σ±/partition terminal — the generation-2 pass probes it for a fusable
-/// pipeline breaker (it is null after an unsupported filter or fan-out,
-/// where the breaker would not be contiguous with the compiled prefix).
+/// The σ prefix of a scan-rooted chain. `filters` parallels `ops`
+/// (ops.front() is the fallback entry when the prefix is non-empty);
+/// `next` is the first operator past the prefix, fed on `next_in_port`,
+/// the terminal candidate. It is null after an unsupported filter or a
+/// fan-out, where a terminal would not be contiguous with the prefix.
 struct DiscoveredChain {
-  std::vector<ChainStage> stages;
+  std::vector<const Expr*> filters;
   std::vector<PhysOp*> ops;
   PhysOp* next = nullptr;
+  int next_in_port = 0;
 };
 
-/// Walks downstream from the scan's single consumer, accepting filters
-/// while each has exactly one port-0 consumer fed on in-port 0, and
-/// closing the chain on a bypass split or k-way partition. Stops at the
-/// first unsupported stage — the compiled prefix must start at the scan,
-/// so an unsupported head yields an empty chain.
-DiscoveredChain DiscoverChain(PhysOp* first, const Schema& schema) {
+/// Walks downstream from the scan's single consumer `first` (fed on
+/// `in_port`), accepting filters while each lowers and has exactly one
+/// port-0 consumer fed on in-port 0. Stops at the first operator that is
+/// not a supported filter — the compiled prefix must start at the scan.
+DiscoveredChain DiscoverChain(PhysOp* first, int in_port,
+                              const Schema& schema) {
   DiscoveredChain chain;
   PhysOp* cur = first;
-  while (cur != nullptr) {
-    if (auto* filter = dynamic_cast<FilterOp*>(cur)) {
-      ChainStage stage{ChainStageKind::kFilter, {&filter->predicate()}};
-      if (!StageSupported(stage, schema)) break;
-      chain.stages.push_back(std::move(stage));
-      chain.ops.push_back(filter);
-      // Extend only through an unshared port-0 link; a fan-out or
-      // off-port consumer makes this filter the terminal.
-      if (filter->num_consumers(kPortOut) == 1) {
-        const auto edges = filter->consumers(kPortOut);
-        if (edges[0].in_port == 0) {
-          cur = edges[0].consumer;
-          continue;
-        }
-      }
-      break;
-    }
-    if (auto* bypass = dynamic_cast<BypassFilterOp*>(cur)) {
-      ChainStage stage{ChainStageKind::kBypass, {&bypass->predicate()}};
-      if (StageSupported(stage, schema)) {
-        chain.stages.push_back(std::move(stage));
-        chain.ops.push_back(bypass);
-      }
-      break;
-    }
-    if (auto* part = dynamic_cast<BypassPartitionKOp*>(cur)) {
-      if (part->predicates().size() >= 2) {
-        ChainStage stage{ChainStageKind::kPartitionK, {}};
-        for (const ExprPtr& p : part->predicates()) {
-          stage.predicates.push_back(p.get());
-        }
-        if (StageSupported(stage, schema)) {
-          chain.stages.push_back(std::move(stage));
-          chain.ops.push_back(part);
-        }
-      }
-      break;
-    }
-    // Not a routing stage: a generation-2 terminal candidate (hash-join
-    // probe, group-by accumulate) or plain interpreted territory.
-    chain.next = cur;
-    break;
+  while (in_port == 0) {
+    auto* filter = dynamic_cast<FilterOp*>(cur);
+    if (filter == nullptr) break;
+    if (!PredicateSupported(filter->predicate(), schema)) return chain;
+    chain.filters.push_back(&filter->predicate());
+    chain.ops.push_back(filter);
+    // Extend only through an unshared port-0 link; a fan-out or
+    // off-port consumer makes this filter the end of the chain.
+    if (filter->num_consumers(kPortOut) != 1) return chain;
+    const auto edges = filter->consumers(kPortOut);
+    cur = edges[0].consumer;
+    in_port = edges[0].in_port;
   }
+  chain.next = cur;
+  chain.next_in_port = in_port;
   return chain;
 }
 
-// --- Generation-2 terminal recognition (DESIGN.md §12).
-
-/// A recognized fusable breaker: the lowering descriptor plus the
-/// operators whose hash structures the compiled loop probes.
-struct WidenedTerminal {
+/// A recognized terminal: the lowering descriptor, the interpreted
+/// operator that implements it (its consumer edges are mirrored by the
+/// compiled operator; for a group-by terminal there are none), and the
+/// hash structures a breaker terminal probes.
+struct RecognizedTerminal {
   ChainTerminal desc;
+  PhysOp* op = nullptr;
   HashJoinOp* join = nullptr;
   HashGroupByOp* group = nullptr;
-  /// Fallback entry when the chain has no filters (the breaker itself —
-  /// its chain input is in-port 0 for both the join's probe side and the
-  /// group-by).
-  PhysOp* entry = nullptr;
 };
 
 /// Maps a slot through the accumulated projection remap (null = identity);
@@ -151,23 +119,23 @@ bool RecognizeGroupBy(HashGroupByOp* group, const std::vector<int>* remap,
   return true;
 }
 
-/// Probes `op` for a fusable generation-2 terminal. A hash join must be
+/// Probes `op` for a fusable breaker terminal. A hash join must be
 /// fed on its probe (left) port with a single non-residual int64 key; a
 /// group-by downstream of the join — through identity or pure
 /// column-copy Π layers — upgrades the shape to the fully fused
 /// probe+accumulate loop. Map χ layers decline: physical operators carry
 /// no schemas, so the pass-through width of an append is unknowable
 /// here, and a wrong remap would silently fold the wrong column.
-bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
-                              WidenedTerminal* out) {
+bool RecognizeBreaker(PhysOp* op, int in_port, const Schema& schema,
+                      RecognizedTerminal* out) {
   if (auto* group = dynamic_cast<HashGroupByOp*>(op)) {
     if (in_port != 0) return false;
     ChainTerminal t;
     t.kind = ChainTerminalKind::kGroupBy;
     if (!RecognizeGroupBy(group, nullptr, schema, &t)) return false;
     out->desc = std::move(t);
+    out->op = group;
     out->group = group;
-    out->entry = group;
     return true;
   }
   auto* join = dynamic_cast<HashJoinOp*>(op);
@@ -182,8 +150,8 @@ bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
           DataType::kInt64) {
     return false;
   }
+  out->op = join;
   out->join = join;
-  out->entry = join;
 
   // Walk the join's output toward a group-by, composing the slot remap
   // of any projection copy layers. Every link must be unshared and feed
@@ -255,6 +223,76 @@ bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
   return true;
 }
 
+/// Recognizes the terminal that closes `chain`: a σ± split or k-way
+/// partition whose predicates lower, or a fusable breaker. Anything else
+/// — and any terminal the lowering later declines — leaves a non-empty
+/// filter prefix on the filter-survivors terminal.
+bool RecognizeTerminal(const DiscoveredChain& chain, const Schema& schema,
+                       RecognizedTerminal* out) {
+  PhysOp* next = chain.next;
+  if (next == nullptr) return false;
+  if (auto* bypass = dynamic_cast<BypassFilterOp*>(next)) {
+    if (!PredicateSupported(bypass->predicate(), schema)) return false;
+    out->desc.kind = ChainTerminalKind::kBypass;
+    out->desc.predicates = {&bypass->predicate()};
+    out->op = bypass;
+    return true;
+  }
+  if (auto* part = dynamic_cast<BypassPartitionKOp*>(next)) {
+    if (part->predicates().size() < 2) return false;
+    out->desc.kind = ChainTerminalKind::kPartitionK;
+    for (const ExprPtr& p : part->predicates()) {
+      if (!PredicateSupported(*p, schema)) return false;
+      out->desc.predicates.push_back(p.get());
+    }
+    out->op = part;
+    return true;
+  }
+  return RecognizeBreaker(next, chain.next_in_port, schema, out);
+}
+
+/// Lowers and submits one chain, then splices the compiled operator
+/// between the scan and the terminal's consumers. False when the chain
+/// does not lower or the engine declined the submit.
+bool Splice(PhysicalPlan* plan, TableScanOp* scan, CodegenEngine* engine,
+            const QueryOptions& options, uint64_t stats_epoch,
+            uint64_t plan_tag, const DiscoveredChain& chain,
+            const RecognizedTerminal& terminal) {
+  LoweredChain lowered;
+  if (!LowerChain(chain.filters, terminal.desc, scan->table_schema(),
+                  &lowered)) {
+    return false;
+  }
+  // A routing terminal's ports must match the operator it replaces.
+  if (!IsBreakerTerminal(terminal.desc.kind) &&
+      lowered.num_out_ports != terminal.op->num_out_ports()) {
+    return false;
+  }
+  CompiledFnSlotPtr slot = engine->Submit(
+      lowered.source, stats_epoch, options.codegen_synchronous, plan_tag);
+  if (slot == nullptr) return false;
+  PhysOp* head = chain.ops.empty() ? terminal.op : chain.ops.front();
+  auto compiled = std::make_unique<CompiledPipelineOp>(
+      std::move(slot), std::move(lowered), head, terminal.join,
+      terminal.group);
+  // Mirror the terminal's wiring: the compiled operator emits to the same
+  // consumers the interpreted chain feeds. The terminal keeps its edges —
+  // fallback batches and the single end-of-stream per port still flow
+  // through it. A group-by terminal is mirrored with no edges: results
+  // leave through the group-by's own finish.
+  if (terminal.group == nullptr) {
+    for (int p = 0; p < terminal.op->num_out_ports(); ++p) {
+      for (const PhysOp::ConsumerEdge& e : terminal.op->consumers(p)) {
+        compiled->AddConsumer(p, e.consumer, e.in_port);
+      }
+      compiled->set_estimated_rows(p, terminal.op->estimated_rows(p));
+    }
+  }
+  scan->ReplaceConsumers(kPortOut, compiled.get(), 0);
+  plan->ops.push_back(std::move(compiled));
+  return true;
+}
+
 }  // namespace
 
 int InstallCompiledPipelines(PhysicalPlan* plan, CodegenEngine* engine,
@@ -267,90 +305,25 @@ int InstallCompiledPipelines(PhysicalPlan* plan, CodegenEngine* engine,
   for (TableScanOp* scan : plan->sources) {
     if (scan->num_consumers(kPortOut) != 1) continue;
     const auto scan_edges = scan->consumers(kPortOut);
-
     const Schema& schema = scan->table_schema();
-
-    // Generation 2 first: a fused probe/accumulate terminal subsumes the
-    // whole filter prefix (and may exist with no filters at all). The
-    // scan may feed the breaker directly on a non-zero port (its build
-    // side) — recognition rejects that before anything else.
-    if (options.codegen_widened &&
-        scan->estimated_rows(kPortOut) >=
-            static_cast<double>(options.codegen_min_fused_rows)) {
-      DiscoveredChain chain =
-          scan_edges[0].in_port == 0
-              ? DiscoverChain(scan_edges[0].consumer, schema)
-              : DiscoveredChain{{}, {}, scan_edges[0].consumer};
-      WidenedTerminal terminal;
-      LoweredChain lowered;
-      const int terminal_in_port =
-          chain.ops.empty() ? scan_edges[0].in_port : 0;
-      if (chain.next != nullptr &&
-          RecognizeWidenedTerminal(chain.next, terminal_in_port, schema,
-                                   &terminal) &&
-          LowerChainWidened(chain.stages, terminal.desc, schema,
-                            &lowered)) {
-        CompiledFnSlotPtr slot =
-            engine->Submit(lowered.source, stats_epoch,
-                           options.codegen_synchronous, plan_tag);
-        if (slot != nullptr) {
-          PhysOp* head =
-              chain.ops.empty() ? terminal.entry : chain.ops.front();
-          auto compiled = std::make_unique<CompiledPipelineOp>(
-              std::move(slot), std::move(lowered), head, terminal.join,
-              terminal.group);
-          if (terminal.desc.kind == ChainTerminalKind::kJoinProbe) {
-            // The compiled probe emits joined rows straight to the
-            // join's consumers; the join keeps its edges for fallback
-            // batches and end-of-stream.
-            for (const PhysOp::ConsumerEdge& e :
-                 terminal.join->consumers(kPortOut)) {
-              compiled->AddConsumer(kPortOut, e.consumer, e.in_port);
-            }
-            compiled->set_estimated_rows(
-                kPortOut, terminal.join->estimated_rows(kPortOut));
-          }
-          // Accumulate shapes emit nothing: results leave through the
-          // group-by's own finish. The operator still owns one out port
-          // (the lowered chain's), just with no edges.
-          scan->ReplaceConsumers(kPortOut, compiled.get(), 0);
-          plan->ops.push_back(std::move(compiled));
-          ++installed;
-          continue;
-        }
-      }
+    const DiscoveredChain chain = DiscoverChain(
+        scan_edges[0].consumer, scan_edges[0].in_port, schema);
+    RecognizedTerminal terminal;
+    if (RecognizeTerminal(chain, schema, &terminal) &&
+        Splice(plan, scan, engine, options, stats_epoch, plan_tag, chain,
+               terminal)) {
+      ++installed;
+      continue;
     }
-
-    // Generation 1: the routing-chain shapes of PR 9.
-    if (scan_edges[0].in_port != 0) continue;
-    DiscoveredChain chain = DiscoverChain(scan_edges[0].consumer, schema);
-    if (chain.stages.empty()) continue;
-
-    LoweredChain lowered;
-    if (!LowerChain(chain.stages, schema, &lowered)) continue;
-    PhysOp* head = chain.ops.front();
-    PhysOp* terminal = chain.ops.back();
-    if (lowered.num_out_ports != terminal->num_out_ports()) continue;
-
-    CompiledFnSlotPtr slot = engine->Submit(
-        lowered.source, stats_epoch, options.codegen_synchronous, plan_tag);
-    if (slot == nullptr) continue;
-
-    auto compiled = std::make_unique<CompiledPipelineOp>(
-        std::move(slot), std::move(lowered), head);
-    // Mirror the terminal's wiring: the compiled operator emits to the
-    // same consumers the interpreted chain feeds. The terminal keeps its
-    // edges — fallback batches and the single end-of-stream per port
-    // still flow through it.
-    for (int p = 0; p < terminal->num_out_ports(); ++p) {
-      for (const PhysOp::ConsumerEdge& e : terminal->consumers(p)) {
-        compiled->AddConsumer(p, e.consumer, e.in_port);
-      }
-      compiled->set_estimated_rows(p, terminal->estimated_rows(p));
+    // No terminal, or a declined one: the filter prefix alone still
+    // compiles, ending in its last filter's survivors.
+    if (chain.ops.empty()) continue;
+    RecognizedTerminal survivors;
+    survivors.op = chain.ops.back();
+    if (Splice(plan, scan, engine, options, stats_epoch, plan_tag, chain,
+               survivors)) {
+      ++installed;
     }
-    scan->ReplaceConsumers(kPortOut, compiled.get(), 0);
-    plan->ops.push_back(std::move(compiled));
-    ++installed;
   }
   return installed;
 }

@@ -1,12 +1,15 @@
 // The codegen splice pass (DESIGN.md §12): after the planner lowered a
-// logical plan to a PhysicalPlan, this pass finds each scan-rooted
-// straight-line chain of supported filters — optionally terminated by a
-// σ± bypass split or a k-way tagged partition — lowers the longest
-// compilable prefix to C++ (codegen/lower_chain.h), submits it to the
-// CodegenEngine, and splices a CompiledPipelineOp between the scan and
-// the chain's consumers. The interpreted chain stays in the plan, wired
-// to the same consumers: it is the fallback path while the async compile
-// runs (and forever, if it fails), and it still carries end-of-stream.
+// logical plan to a PhysicalPlan, this pass takes each scan-rooted chain
+// in one sweep — discover the longest compilable σ filter prefix,
+// recognise the terminal that closes it (σ± split, k-way partition,
+// hash-join probe, group-by accumulate, or probe plus accumulate), lower
+// the chain to C++ (codegen/lower_chain.h), submit it to the
+// CodegenEngine, and splice a CompiledPipelineOp between the scan and
+// the terminal's consumers. A terminal that is absent or declined leaves
+// the filter prefix on the filter-survivors terminal. The interpreted
+// chain stays in the plan, wired to the same consumers: it is the
+// fallback path while the async compile runs (and forever, if it
+// fails), and it still carries end-of-stream.
 #ifndef BYPASSDB_CODEGEN_INSTALL_H_
 #define BYPASSDB_CODEGEN_INSTALL_H_
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "codegen/codegen_engine.h"
 #include "common/string_util.h"
 #include "types/value.h"
 
@@ -179,14 +180,13 @@ bool Emitter::LiteralOperand(const LiteralExpr& lit, Operand* out) {
   }
   if (v.is_bool()) {
     out->kind = Operand::kBool;
-    out->val = v.bool_value() ? "1" : "0";
+    out->val = std::string(v.bool_value() ? "1" : "0");
     return true;
   }
   if (v.is_string()) {
     const size_t idx = PoolString(v.string_value());
     out->kind = Operand::kStr;
-    out->ptr = "S";
-    out->ptr += std::to_string(idx);
+    out->ptr = std::string("S") + std::to_string(idx);
     out->len = std::to_string(v.string_value().size()) + "ull";
     return true;
   }
@@ -213,7 +213,7 @@ bool Emitter::EmitOperand(const Expr& e, int depth, Operand* out) {
       // ArithmeticExpr::Combine: NULL in → NULL out, before type checks.
       if (l.kind == Operand::kNull || r.kind == Operand::kNull) {
         out->kind = Operand::kNull;
-        out->null = "1";
+        out->null = std::string("1");
         return true;
       }
       // Non-numeric operands raise ExecutionError in the interpreter on
@@ -451,7 +451,7 @@ const char* TypeCName(DataType t) {
   }
 }
 
-/// Column pointer declarations shared by both generations' preludes.
+/// Column pointer declarations at the top of the entry point.
 void EmitColumnDecls(std::ostringstream& src, const Emitter& em) {
   for (size_t i = 0; i < em.slots().size(); ++i) {
     const std::string c = ColumnVar(i);
@@ -476,119 +476,14 @@ std::string NullBitExpr(size_t idx) {
 
 }  // namespace
 
-bool LowerChain(const std::vector<ChainStage>& stages, const Schema& schema,
+bool LowerChain(const std::vector<const Expr*>& filters,
+                const ChainTerminal& terminal, const Schema& schema,
                 LoweredChain* out) {
-  if (stages.empty()) return false;
-  Emitter em(schema);
-  // Lower every stage's predicates in chain order into one straight-line
-  // row body. A row exits the do-while early when a σ drops it or a
-  // partition disjunct claims it.
-  std::ostringstream row;
-  int num_ports = 1;
-  bool tagged = false;
-  int tagged_k = 0;
-  for (size_t si = 0; si < stages.size(); ++si) {
-    const ChainStage& st = stages[si];
-    const bool terminal = si + 1 == stages.size();
-    switch (st.kind) {
-      case ChainStageKind::kFilter: {
-        if (st.predicates.size() != 1 || !st.predicates[0]) return false;
-        const std::string t = em.EmitPredicate(*st.predicates[0], 0);
-        if (t.empty()) return false;
-        row << em.TakeBody();
-        row << "      if (" << t << " != 1) break;\n";
-        if (terminal) row << "      o0[n0++] = r;\n";
-        break;
-      }
-      case ChainStageKind::kBypass: {
-        if (!terminal || st.predicates.size() != 1 || !st.predicates[0]) {
-          return false;
-        }
-        const std::string t = em.EmitPredicate(*st.predicates[0], 0);
-        if (t.empty()) return false;
-        row << em.TakeBody();
-        row << "      if (" << t << " == 1) o0[n0++] = r;\n"
-            << "      else o1[n1++] = r;\n";
-        num_ports = 2;
-        break;
-      }
-      case ChainStageKind::kPartitionK: {
-        if (!terminal || st.predicates.size() < 2) return false;
-        const int k = static_cast<int>(st.predicates.size());
-        for (int j = 0; j < k; ++j) {
-          if (!st.predicates[j]) return false;
-          const std::string t = em.EmitPredicate(*st.predicates[j], 0);
-          if (t.empty()) return false;
-          row << em.TakeBody();
-          row << "      if (" << t << " == 1) { o" << j << "[n" << j
-              << "++] = r; break; }\n";
-        }
-        // No disjunct claimed the row: remainder stream k.
-        row << "      o" << k << "[n" << k << "++] = r;\n";
-        num_ports = k + 1;
-        tagged = true;
-        tagged_k = k;
-        break;
-      }
-    }
-    if (terminal && st.kind == ChainStageKind::kFilter) break;
-  }
-
-  // Assemble the translation unit. It is deliberately freestanding: the
-  // only coupling to the engine is the CgCol/CgBatch layout and the two
-  // exported symbols, re-checked through bypass_cg_abi after dlopen.
-  std::ostringstream src;
-  src << "// bypassdb emitted pipeline (codegen tier, abi 1)\n"
-      << "typedef unsigned long long u64;\n"
-      << "typedef unsigned int u32;\n"
-      << "struct CgCol { const void* data; const u64* offsets; const char* "
-         "chars; const u64* nulls; };\n"
-      << "struct CgBatch { const CgCol* cols; const u32* sel; u64 n; };\n"
-      << em.HelperSection()
-      << "extern \"C\" long long bypass_cg_abi() { return 1; }\n"
-      << "extern \"C\" void bypass_cg_run(const CgBatch* b, u32* const* "
-         "outs, u64* counts) {\n";
-  EmitColumnDecls(src, em);
-  for (int p = 0; p < num_ports; ++p) {
-    src << "  u32* o" << p << " = outs[" << p << "]; u64 n" << p
-        << " = 0;\n";
-  }
-  src << "  const u32* sel = b->sel;\n"
-      << "  const u64 n = b->n;\n"
-      << "  for (u64 i = 0; i < n; ++i) {\n"
-      << "    const u32 r = sel[i];\n"
-      << "    (void)r;\n"
-      << "    do {\n"
-      << row.str()
-      << "    } while (0);\n"
-      << "  }\n";
-  for (int p = 0; p < num_ports; ++p) {
-    src << "  counts[" << p << "] = n" << p << ";\n";
-  }
-  src << "}\n";
-
-  out->source = src.str();
-  out->slots = em.slots();
-  out->num_out_ports = num_ports;
-  out->tagged = tagged;
-  out->tagged_k = tagged_k;
-  std::ostringstream summary;
-  summary << stages.size() << (stages.size() == 1 ? " stage" : " stages");
-  if (tagged) summary << ", k=" << tagged_k;
-  summary << ", " << em.slots().size()
-          << (em.slots().size() == 1 ? " col" : " cols");
-  out->summary = summary.str();
-  return true;
-}
-
-bool LowerChainWidened(const std::vector<ChainStage>& stages,
-                       const ChainTerminal& terminal, const Schema& schema,
-                       LoweredChain* out) {
-  if (terminal.kind == ChainTerminalKind::kNone) return false;
-  const bool join = terminal.kind == ChainTerminalKind::kJoinProbe ||
-                    terminal.kind == ChainTerminalKind::kJoinGroupBy;
-  const bool group = terminal.kind == ChainTerminalKind::kGroupBy ||
-                     terminal.kind == ChainTerminalKind::kJoinGroupBy;
+  const ChainTerminalKind kind = terminal.kind;
+  const bool join = kind == ChainTerminalKind::kJoinProbe ||
+                    kind == ChainTerminalKind::kJoinGroupBy;
+  const bool group = kind == ChainTerminalKind::kGroupBy ||
+                     kind == ChainTerminalKind::kJoinGroupBy;
   auto slot_ok = [&](int s, DataType want) {
     return s >= 0 && s < static_cast<int>(schema.num_columns()) &&
            schema.column(static_cast<size_t>(s)).type == want;
@@ -597,49 +492,83 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
   if (group && !slot_ok(terminal.group_slot, DataType::kInt64)) {
     return false;
   }
-  if (group) {
-    for (const CgAggFold& a : terminal.aggs) {
-      if (a.star) {
-        if (a.func != AggFunc::kCount) return false;
-        continue;
-      }
-      // Argument columns are monomorphized on int64/double; COUNT over
-      // other types (and every DISTINCT) stays interpreted.
-      if (a.type != DataType::kInt64 && a.type != DataType::kDouble) {
-        return false;
-      }
-      if (!slot_ok(a.slot, a.type)) return false;
-    }
-  }
 
   Emitter em(schema);
-  // Filters lower exactly like generation 1: straight-line row body, a
-  // failing σ exits the do-while early. σ±/partition stages cannot feed
-  // a fused breaker (they fan out) — the install pass never offers them.
-  std::ostringstream filters;
-  for (const ChainStage& st : stages) {
-    if (st.kind != ChainStageKind::kFilter || st.predicates.size() != 1 ||
-        st.predicates[0] == nullptr) {
-      return false;
-    }
-    const std::string t = em.EmitPredicate(*st.predicates[0], 0);
+  // The σ prefix lowers into one straight-line row body; a row exits the
+  // enclosing do-while early when a filter drops it.
+  std::ostringstream prefix;
+  for (const Expr* f : filters) {
+    if (f == nullptr) return false;
+    const std::string t = em.EmitPredicate(*f, 0);
     if (t.empty()) return false;
-    filters << em.TakeBody();
-    filters << "      if (" << t << " != 1) break;\n";
+    prefix << em.TakeBody();
+    prefix << "      if (" << t << " != 1) break;\n";
   }
+  const std::string filter_body = prefix.str();
+
+  // Routing terminals append their port writes to the row body; a k-way
+  // disjunct that claims the row exits the do-while.
+  std::ostringstream route;
+  int num_ports = 1;
+  switch (kind) {
+    case ChainTerminalKind::kFilter:
+      if (filters.empty()) return false;
+      route << "      o0[n0++] = r;\n";
+      break;
+    case ChainTerminalKind::kBypass: {
+      if (terminal.predicates.size() != 1 ||
+          terminal.predicates[0] == nullptr) {
+        return false;
+      }
+      const std::string t = em.EmitPredicate(*terminal.predicates[0], 0);
+      if (t.empty()) return false;
+      route << em.TakeBody();
+      route << "      if (" << t << " == 1) o0[n0++] = r;\n"
+            << "      else o1[n1++] = r;\n";
+      num_ports = 2;
+      break;
+    }
+    case ChainTerminalKind::kPartitionK: {
+      if (terminal.predicates.size() < 2) return false;
+      const int k = static_cast<int>(terminal.predicates.size());
+      for (int j = 0; j < k; ++j) {
+        if (terminal.predicates[j] == nullptr) return false;
+        const std::string t = em.EmitPredicate(*terminal.predicates[j], 0);
+        if (t.empty()) return false;
+        route << em.TakeBody();
+        route << "      if (" << t << " == 1) { o" << j << "[n" << j
+              << "++] = r; break; }\n";
+      }
+      // No disjunct claimed the row: remainder stream k.
+      route << "      o" << k << "[n" << k << "++] = r;\n";
+      num_ports = k + 1;
+      break;
+    }
+    default:
+      break;
+  }
+
   const size_t jk =
       join ? em.RegisterSlot(terminal.probe_slot, DataType::kInt64) : 0;
   const size_t gk =
       group ? em.RegisterSlot(terminal.group_slot, DataType::kInt64) : 0;
   std::vector<size_t> argc(terminal.aggs.size(), 0);
-  for (size_t j = 0; j < terminal.aggs.size(); ++j) {
-    if (!terminal.aggs[j].star) {
-      argc[j] = em.RegisterSlot(terminal.aggs[j].slot,
-                                terminal.aggs[j].type);
+  for (size_t j = 0; group && j < terminal.aggs.size(); ++j) {
+    const CgAggFold& a = terminal.aggs[j];
+    if (a.star) {
+      if (a.func != AggFunc::kCount) return false;
+      continue;
     }
+    // Argument columns are monomorphized on int64/double; COUNT over
+    // other types (and every DISTINCT) stays interpreted.
+    if (a.type != DataType::kInt64 && a.type != DataType::kDouble) {
+      return false;
+    }
+    if (!slot_ok(a.slot, a.type)) return false;
+    argc[j] = em.RegisterSlot(a.slot, a.type);
   }
 
-  // --- Reusable snippets over the registered columns.
+  // --- Reusable breaker snippets over the registered columns.
 
   // Group-key hash + slot probe; leaves the dense entry index in `g`
   // (4294967295u = missed the snapshot). Mirrors FindOrEmplaceInt64's
@@ -731,7 +660,7 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
        << "      (void)r;\n"
        << "      vs[i] = 0;\n"
        << "      do {\n"
-       << filters.str()
+       << filter_body
        << "      const int knl = " << NullBitExpr(jk) << ";\n"
        << "      if (knl) break;\n"  // NULL key never matches (inner join)
        << "      const long long kv = " << c << "[r];\n"
@@ -761,11 +690,13 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
       "      if (i + 8 < n && vs[i + 8]) "
       "__builtin_prefetch(&js[hs[i + 8] & jm]);\n";
 
-  // --- Assemble the translation unit (freestanding, like generation 1;
-  //     the view structs re-declare the engine layouts pinned by the
-  //     static_asserts at the export sites).
+  // --- Assemble the translation unit. It is deliberately freestanding:
+  //     the only coupling to the engine is the ABI structs (layouts
+  //     pinned by static_asserts at the export sites) and the two
+  //     exported symbols, re-checked through bypass_cg_abi after dlopen.
   std::ostringstream src;
-  src << "// bypassdb emitted pipeline (codegen tier, abi 2)\n"
+  src << "// bypassdb emitted pipeline (codegen tier, abi "
+      << kCgAbiVersion << ")\n"
       << "typedef unsigned long long u64;\n"
       << "typedef unsigned int u32;\n"
       << "struct CgCol { const void* data; const u64* offsets; const char* "
@@ -780,17 +711,18 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
       << "struct CgJSlot { u64 hash; u32 key_id; };\n"
       << "struct CgGSlot { u64 hash; u32 idx; };\n"
       << "struct CgGKey { long long key; unsigned char null; };\n"
-      << "static u64 cg_mix(u64 h) {\n"  // splitmix64 == HashInt64Key
+      << "static inline u64 cg_mix(u64 h) {\n"  // splitmix64 == HashInt64Key
       << "  h += 0x9e3779b97f4a7c15ull;\n"
       << "  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;\n"
       << "  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;\n"
       << "  return h ^ (h >> 31);\n"
       << "}\n"
       << em.HelperSection()
-      << "extern \"C\" long long bypass_cg_abi() { return 2; }\n"
-      << "extern \"C\" void bypass_cg_run2(const CgBatch* b, const "
+      << "extern \"C\" long long bypass_cg_abi() { return " << kCgAbiVersion
+      << "; }\n"
+      << "extern \"C\" void bypass_cg_run(const CgBatch* b, const "
          "CgJoinView* jv, const CgGroupView* gv, void* const* accs, u32* "
-         "out_a, u32* out_b, u64 out_cap, u64 start_row, u64* counts) {\n";
+         "const* outs, u64 out_cap, u64 start_row, u64* counts) {\n";
   EmitColumnDecls(src, em);
   if (join) {
     src << "  const CgJSlot* js = (const CgJSlot*)jv->slots;\n"
@@ -829,105 +761,145 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
       }
     }
   }
+  if (join || group) {
+    // The pair cursor: (batch position, build row) for probes, (batch
+    // position, match multiplicity) for accumulate misses.
+    src << "  u32* out_a = outs[0];\n"
+        << "  u32* out_b = outs[1];\n";
+  } else {
+    for (int p = 0; p < num_ports; ++p) {
+      src << "  u32* o" << p << " = outs[" << p << "]; u64 n" << p
+          << " = 0;\n";
+    }
+  }
   src << "  const u32* sel = b->sel;\n"
       << "  const u64 n = b->n;\n";
 
-  if (terminal.kind == ChainTerminalKind::kGroupBy) {
-    // Single pass: filter, probe the group snapshot, fold hits into the
-    // SoA; misses go to the pair cursor (multiplicity 1) for phase B.
-    src << "  u64 na = 0;\n"
-        << "  for (u64 i = 0; i < n; ++i) {\n"
-        << "    const u32 r = sel[i];\n"
-        << "    (void)r;\n"
-        << "    do {\n"
-        << filters.str();
-    group_key_and_probe(src);
-    src << "      if (g == 4294967295u) { out_a[na] = (u32)i; out_b[na] "
-           "= 1u; ++na; break; }\n";
-    arg_loads(src);
-    folds(src, "      ");
-    src << "    } while (0);\n"
-        << "  }\n"
-        << "  counts[0] = na;\n"
-        << "  counts[1] = n;\n";
-  } else if (terminal.kind == ChainTerminalKind::kJoinProbe) {
-    join_pass1(src);
-    // Pass 2: resolve with prefetch-at-distance, append (position,
-    // build row) pairs; a full cursor stops at a row boundary so the
-    // caller can drain and resume at counts[1].
-    src << "  u64 na = 0;\n"
-        << "  u64 i = start_row;\n"
-        << "  if (js) {\n"
-        << "    for (; i < n; ++i) {\n"
-        << prefetch
-        << "      if (!vs[i]) continue;\n";
-    join_probe(src);
-    src << "      if (kid == 4294967295u) continue;\n"
-        << "      const u32 mb = jof[kid];\n"
-        << "      const u32 me = jof[kid + 1];\n"
-        << "      if (na + (u64)(me - mb) > out_cap) break;\n"
-        << "      for (u32 t = mb; t < me; ++t) { out_a[na] = (u32)i; "
-           "out_b[na] = jpl[t]; ++na; }\n"
-        << "    }\n"
-        << "  } else {\n"
-        << "    i = n;\n"  // empty build side: every probe misses
-        << "  }\n"
-        << "  counts[0] = na;\n"
-        << "  counts[1] = i;\n";
-  } else {  // kJoinGroupBy
-    join_pass1(src);
-    // Pass 2: each matching probe row folds its aggregates once per
-    // build match (multiplicity loop — repeated adds keep double sums
-    // bit-identical to the interpreter's per-output-row folds); rows
-    // whose group missed the snapshot emit one (position, multiplicity)
-    // pair for phase B. At most one pair per row, so the cursor (sized
-    // to the batch) never overflows and no resume is needed.
-    src << "  u64 na = 0;\n"
-        << "  if (js) {\n"
-        << "    for (u64 i = 0; i < n; ++i) {\n"
-        << prefetch
-        << "      if (!vs[i]) continue;\n";
-    join_probe(src);
-    src << "      if (kid == 4294967295u) continue;\n"
-        << "      const u32 m = jof[kid + 1] - jof[kid];\n"
-        << "      const u32 r = sel[i];\n"
-        << "      (void)r;\n";
-    group_key_and_probe(src);
-    src << "      if (g == 4294967295u) { out_a[na] = (u32)i; out_b[na] "
-           "= m; ++na; continue; }\n";
-    arg_loads(src);
-    src << "      for (u32 mt = 0; mt < m; ++mt) {\n";
-    folds(src, "        ");
-    src << "      }\n"
-        << "    }\n"
-        << "  }\n"
-        << "  counts[0] = na;\n"
-        << "  counts[1] = n;\n";
+  switch (kind) {
+    case ChainTerminalKind::kFilter:
+    case ChainTerminalKind::kBypass:
+    case ChainTerminalKind::kPartitionK:
+      // One routing pass: every selected row lands in exactly one port
+      // or is dropped by the σ prefix.
+      src << "  for (u64 i = 0; i < n; ++i) {\n"
+          << "    const u32 r = sel[i];\n"
+          << "    (void)r;\n"
+          << "    do {\n"
+          << filter_body << route.str()
+          << "    } while (0);\n"
+          << "  }\n";
+      for (int p = 0; p < num_ports; ++p) {
+        src << "  counts[" << p << "] = n" << p << ";\n";
+      }
+      break;
+    case ChainTerminalKind::kGroupBy:
+      // Single pass: filter, probe the group snapshot, fold hits into the
+      // SoA; misses go to the pair cursor (multiplicity 1) for phase B.
+      src << "  u64 na = 0;\n"
+          << "  for (u64 i = 0; i < n; ++i) {\n"
+          << "    const u32 r = sel[i];\n"
+          << "    (void)r;\n"
+          << "    do {\n"
+          << filter_body;
+      group_key_and_probe(src);
+      src << "      if (g == 4294967295u) { out_a[na] = (u32)i; out_b[na] "
+             "= 1u; ++na; break; }\n";
+      arg_loads(src);
+      folds(src, "      ");
+      src << "    } while (0);\n"
+          << "  }\n"
+          << "  counts[0] = na;\n"
+          << "  counts[1] = n;\n";
+      break;
+    case ChainTerminalKind::kJoinProbe:
+      join_pass1(src);
+      // Pass 2: resolve with prefetch-at-distance, append (position,
+      // build row) pairs; a full cursor stops at a row boundary so the
+      // caller can drain and resume at counts[1].
+      src << "  u64 na = 0;\n"
+          << "  u64 i = start_row;\n"
+          << "  if (js) {\n"
+          << "    for (; i < n; ++i) {\n"
+          << prefetch
+          << "      if (!vs[i]) continue;\n";
+      join_probe(src);
+      src << "      if (kid == 4294967295u) continue;\n"
+          << "      const u32 mb = jof[kid];\n"
+          << "      const u32 me = jof[kid + 1];\n"
+          << "      if (na + (u64)(me - mb) > out_cap) break;\n"
+          << "      for (u32 t = mb; t < me; ++t) { out_a[na] = (u32)i; "
+             "out_b[na] = jpl[t]; ++na; }\n"
+          << "    }\n"
+          << "  } else {\n"
+          << "    i = n;\n"  // empty build side: every probe misses
+          << "  }\n"
+          << "  counts[0] = na;\n"
+          << "  counts[1] = i;\n";
+      break;
+    case ChainTerminalKind::kJoinGroupBy:
+      join_pass1(src);
+      // Pass 2: each matching probe row folds its aggregates once per
+      // build match (multiplicity loop — repeated adds keep double sums
+      // bit-identical to the interpreter's per-output-row folds); rows
+      // whose group missed the snapshot emit one (position,
+      // multiplicity) pair for phase B. At most one pair per row, so the
+      // cursor (sized to the batch) never overflows and no resume is
+      // needed.
+      src << "  u64 na = 0;\n"
+          << "  if (js) {\n"
+          << "    for (u64 i = 0; i < n; ++i) {\n"
+          << prefetch
+          << "      if (!vs[i]) continue;\n";
+      join_probe(src);
+      src << "      if (kid == 4294967295u) continue;\n"
+          << "      const u32 m = jof[kid + 1] - jof[kid];\n"
+          << "      const u32 r = sel[i];\n"
+          << "      (void)r;\n";
+      group_key_and_probe(src);
+      src << "      if (g == 4294967295u) { out_a[na] = (u32)i; out_b[na] "
+             "= m; ++na; continue; }\n";
+      arg_loads(src);
+      src << "      for (u32 mt = 0; mt < m; ++mt) {\n";
+      folds(src, "        ");
+      src << "      }\n"
+          << "    }\n"
+          << "  }\n"
+          << "  counts[0] = na;\n"
+          << "  counts[1] = n;\n";
+      break;
   }
   src << "}\n";
 
   out->source = src.str();
   out->slots = em.slots();
-  out->num_out_ports = 1;
-  out->tagged = false;
-  out->tagged_k = 0;
-  out->generation = 2;
+  out->num_out_ports = num_ports;
   out->terminal = terminal;
+  // "<filters> σ + <terminal>, <columns> cols", e.g. "2 σ + k=3, 4 cols".
   std::ostringstream summary;
-  summary << stages.size() << (stages.size() == 1 ? " stage" : " stages");
-  if (join) summary << " + probe";
-  if (group) summary << " + agg(" << terminal.aggs.size() << ")";
+  summary << filters.size() << " σ + ";
+  switch (kind) {
+    case ChainTerminalKind::kFilter: summary << "survivors"; break;
+    case ChainTerminalKind::kBypass: summary << "σ±"; break;
+    case ChainTerminalKind::kPartitionK:
+      summary << "k=" << terminal.predicates.size();
+      break;
+    case ChainTerminalKind::kJoinProbe: summary << "probe"; break;
+    case ChainTerminalKind::kGroupBy:
+      summary << "agg(" << terminal.aggs.size() << ")";
+      break;
+    case ChainTerminalKind::kJoinGroupBy:
+      summary << "probe+agg(" << terminal.aggs.size() << ")";
+      break;
+  }
   summary << ", " << em.slots().size()
           << (em.slots().size() == 1 ? " col" : " cols");
   out->summary = summary.str();
   return true;
 }
 
-bool StageSupported(const ChainStage& stage, const Schema& schema) {
-  // Non-terminal σ stages and terminal stages lower through the same
-  // predicate matrix, so a single-stage dry run answers both.
-  LoweredChain scratch;
-  return LowerChain({stage}, schema, &scratch);
+bool PredicateSupported(const Expr& predicate, const Schema& schema) {
+  Emitter em(schema);
+  return !em.EmitPredicate(predicate, 0).empty();
 }
 
 }  // namespace bypass

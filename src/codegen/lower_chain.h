@@ -1,8 +1,10 @@
-// Chain lowering: turns a straight-line operator chain — zero or more
-// σ filters optionally terminated by one σ± bypass split or one k-way
-// tagged BypassPartition± — into one self-contained C++ translation unit
-// implementing the fused per-row routing loop (DESIGN.md §12). The
-// emitted function replicates the interpreter's semantics exactly:
+// Chain lowering: turns a scan-rooted compiled chain — zero or more σ
+// filters followed by exactly one terminal (DESIGN.md §12) — into one
+// self-contained C++ translation unit exporting bypass_cg_run. The
+// terminals are: filter survivors to port 0, the σ± bypass split, the
+// k-way tagged partition, a hash-join probe, a group-by accumulate, and
+// a probe feeding an accumulate. The emitted function replicates the
+// interpreter's semantics exactly:
 //
 //   * SQL 3VL encoded as int {0 = false, 1 = true, 2 = unknown}, with
 //     AND/OR short-circuiting per row exactly like TriAnd/TriOr folds
@@ -23,8 +25,8 @@
 //
 // Anything outside this matrix — subqueries, correlated outer
 // references, builtin functions, mixed-mode (untyped) columns — makes
-// the stage unsupported; the install pass (codegen/install.h) then cuts
-// the chain before that operator and leaves the rest interpreted.
+// the predicate unsupported; the install pass (codegen/install.h) then
+// cuts the chain before that operator and leaves the rest interpreted.
 #ifndef BYPASSDB_CODEGEN_LOWER_CHAIN_H_
 #define BYPASSDB_CODEGEN_LOWER_CHAIN_H_
 
@@ -37,19 +39,6 @@
 
 namespace bypass {
 
-enum class ChainStageKind {
-  kFilter,      ///< σ: TRUE rows continue, rest dropped
-  kBypass,      ///< σ±: TRUE → port 0, FALSE/UNKNOWN → port 1 (terminal)
-  kPartitionK,  ///< k-way: first-TRUE disjunct i → port i, rest → port k
-};
-
-/// One operator of the chain. Filters and bypass splits carry one
-/// predicate; a k-way partition carries its k rank-ordered disjuncts.
-struct ChainStage {
-  ChainStageKind kind;
-  std::vector<const Expr*> predicates;
-};
-
 /// One input column the emitted code reads: the table-schema slot and
 /// its declared type (the runtime guard re-checks both per batch).
 struct CgSlotUse {
@@ -57,14 +46,25 @@ struct CgSlotUse {
   DataType type;
 };
 
-/// What terminates a widened (generation-2) chain — the fused pipeline
-/// breakers of DESIGN.md §12. kNone marks a generation-1 routing chain.
+/// What ends a compiled chain. The routing terminals write selections to
+/// output ports; the breaker terminals fuse a pipeline breaker's inner
+/// loop and return (position, value) pairs instead.
 enum class ChainTerminalKind {
-  kNone,
+  kFilter,       ///< survivors of the σ prefix → port 0
+  kBypass,       ///< σ±: TRUE → port 0, FALSE/UNKNOWN → port 1
+  kPartitionK,   ///< k-way: first-TRUE disjunct i → port i, rest → port k
   kJoinProbe,    ///< hash-join probe loop → (position, build row) pairs
   kGroupBy,      ///< group-by accumulate loop over the int64 fast path
   kJoinGroupBy,  ///< probe feeding accumulate, fully fused
 };
+
+/// True for the terminals that fuse a hash-join probe and/or a group-by
+/// accumulate (they run against the interpreter's hash structures).
+inline bool IsBreakerTerminal(ChainTerminalKind kind) {
+  return kind == ChainTerminalKind::kJoinProbe ||
+         kind == ChainTerminalKind::kGroupBy ||
+         kind == ChainTerminalKind::kJoinGroupBy;
+}
 
 /// One aggregate the emitted accumulate loop folds in-register. The
 /// argument is a scan-slot column load (already remapped through any
@@ -77,54 +77,47 @@ struct CgAggFold {
   DataType type = DataType::kInt64;
 };
 
-/// Terminal description for the generation-2 lowering: which breaker(s)
-/// the chain fuses and the scan slots their keys live in.
+/// The terminal of a chain: its kind plus what that kind needs — the
+/// routing predicate(s) for σ± (one) and k-way (k, rank-ordered), the
+/// scan slots of the int64 probe/group keys and the folded aggregates
+/// for the breaker terminals.
 struct ChainTerminal {
-  ChainTerminalKind kind = ChainTerminalKind::kNone;
-  int probe_slot = -1;  ///< scan slot of the int64 join probe key
-  int group_slot = -1;  ///< scan slot of the int64 group key
+  ChainTerminalKind kind = ChainTerminalKind::kFilter;
+  std::vector<const Expr*> predicates;
+  int probe_slot = -1;
+  int group_slot = -1;
   std::vector<CgAggFold> aggs;
 };
 
 struct LoweredChain {
   /// The complete emitted translation unit (no #includes; exports
-  /// bypass_cg_abi plus bypass_cg_run or bypass_cg_run2 by generation).
+  /// bypass_cg_abi and bypass_cg_run).
   std::string source;
   /// Columns in CgBatch::cols order.
   std::vector<CgSlotUse> slots;
+  /// Output ports of the compiled operator: 1 for filter survivors and
+  /// the breakers, 2 for σ±, k + 1 for the k-way partition.
   int num_out_ports = 1;
-  /// Terminal is a k-way tagged partition (tagged-stream stats apply).
-  bool tagged = false;
-  int tagged_k = 0;
-  /// ABI generation of the emitted entry point (1 = routing chain,
-  /// 2 = widened probe/accumulate chain).
-  int generation = 1;
-  /// Echo of the widened terminal (generation 2 only).
+  /// Echo of the terminal the source implements.
   ChainTerminal terminal;
   /// Short human-readable shape note for operator labels.
   std::string summary;
 };
 
-/// Lowers the chain against the scanned table's schema. False when any
-/// stage uses a construct outside the supported matrix (the chain then
-/// stays interpreted; use StageSupported to cut at operator granularity).
-bool LowerChain(const std::vector<ChainStage>& stages,
-                const Schema& schema, LoweredChain* out);
+/// Lowers `filters` (σ predicates in chain order) and `terminal` against
+/// the scanned table's schema into one TU exporting bypass_cg_run (the
+/// CgRunFn ABI of codegen_engine.h). A kFilter terminal needs at least
+/// one filter; the breaker terminals may have none (a bare scan feeding
+/// the breaker). False when a predicate or the terminal is outside the
+/// supported matrix.
+bool LowerChain(const std::vector<const Expr*>& filters,
+                const ChainTerminal& terminal, const Schema& schema,
+                LoweredChain* out);
 
-/// Dry-run of one stage: true when it would lower. The install pass uses
-/// this to find the longest compilable prefix of a chain.
-bool StageSupported(const ChainStage& stage, const Schema& schema);
-
-/// Generation-2 lowering: σ filters (only — no σ±/partition stages, and
-/// `stages` may be empty for a bare scan→breaker chain) terminated by a
-/// fused hash-join probe and/or group-by accumulate loop. The emitted TU
-/// exports bypass_cg_run2 (abi 2); it probes the interpreter's hash
-/// structures through the CgJoinView/CgGroupView slot views and folds
-/// aggregates into the caller's SoA accumulator arrays (DESIGN.md §12).
-/// False when a filter or the terminal is outside the supported matrix.
-bool LowerChainWidened(const std::vector<ChainStage>& stages,
-                       const ChainTerminal& terminal, const Schema& schema,
-                       LoweredChain* out);
+/// Dry run of one predicate: true when it would lower. The install pass
+/// uses this to find the longest compilable filter prefix of a chain and
+/// to decide whether a σ±/k-way operator can terminate it.
+bool PredicateSupported(const Expr& predicate, const Schema& schema);
 
 }  // namespace bypass
 

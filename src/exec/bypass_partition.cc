@@ -83,29 +83,15 @@ Status BypassPartitionKOp::Consume(int, RowBatch batch) {
     BYPASS_RETURN_IF_ERROR(PartitionGeneric(batch, &scratch));
   }
 
-  ExecStats* stats = ctx_->stats();
-  stats->tagged_batches += 1;
-  if (stats->tagged_stream_rows.size() < k + 1) {
-    stats->tagged_stream_rows.resize(k + 1, 0);
-  }
-  const bool was_dense = batch.dense();
+  ctx_->stats()->AddTaggedBatch(
+      k + 1, [&](size_t i) { return scratch.streams[i].size(); });
   for (size_t i = 0; i <= k; ++i) {
-    stats->tagged_stream_rows[i] +=
-        static_cast<int64_t>(scratch.streams[i].size());
     // Emit drops empty batches anyway; skipping them here avoids k-1
     // RowBatch round-trips per batch when one disjunct claims everything
     // (and most of the small-batch overhead at batch_size=1).
     if (scratch.streams[i].empty()) continue;
     RowBatch out = batch.ShareWithSelection(std::move(scratch.streams[i]));
     scratch.streams[i].clear();
-    // A partition of a dense run stays sorted but is only still dense
-    // when it kept a contiguous run; cheap to detect, big win for
-    // downstream storage-indexed loops.
-    if (was_dense && !out.empty() &&
-        out.selection().back() - out.selection().front() + 1 ==
-            out.size()) {
-      out.MarkDense();
-    }
     BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i), std::move(out)));
   }
   return Status::OK();

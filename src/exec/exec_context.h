@@ -75,6 +75,21 @@ struct ExecStats {
   int64_t compiled_join_batches = 0;
   int64_t compiled_agg_batches = 0;
 
+  /// Accounts one k-way tagged batch: `rows(i)` rows went to stream i
+  /// of `streams` (the k disjunct streams plus the remainder). The
+  /// interpreted and the compiled partition both record through here, so
+  /// their counters agree row for row.
+  template <typename RowsFn>
+  void AddTaggedBatch(size_t streams, RowsFn rows) {
+    tagged_batches += 1;
+    if (tagged_stream_rows.size() < streams) {
+      tagged_stream_rows.resize(streams, 0);
+    }
+    for (size_t i = 0; i < streams; ++i) {
+      tagged_stream_rows[i] += static_cast<int64_t>(rows(i));
+    }
+  }
+
   void Add(const ExecStats& other) {
     rows_scanned += other.rows_scanned;
     rows_emitted += other.rows_emitted;

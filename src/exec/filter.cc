@@ -19,16 +19,7 @@ Status FilterOp::Consume(int, RowBatch batch) {
     // (and its dense flag) as-is instead of swapping in an equal vector.
     return Emit(kPortOut, std::move(batch));
   }
-  const bool was_dense = batch.dense();
-  batch.selection().swap(scratch.sel_true);
-  // A partition of a dense run stays sorted but is only still dense when
-  // it kept a contiguous prefix-to-suffix run; cheap to detect, big win
-  // for downstream storage-indexed loops.
-  if (was_dense && !batch.empty() &&
-      batch.selection().back() - batch.selection().front() + 1 ==
-          batch.size()) {
-    batch.MarkDense();
-  }
+  batch.SwapSelection(&scratch.sel_true);
   return Emit(kPortOut, std::move(batch));
 }
 
@@ -50,22 +41,11 @@ Status BypassFilterOp::Consume(int, RowBatch batch) {
   BYPASS_RETURN_IF_ERROR(predicate_->PartitionBatch(
       batch, ctx_->outer_row(), &scratch.sel_true, &scratch.sel_other,
       &scratch.sel_other));
-  const bool was_dense = batch.dense();
   RowBatch negative =
       batch.ShareWithSelection(std::move(scratch.sel_other));
   scratch.sel_other.clear();
   if (scratch.sel_true.size() != batch.size()) {
-    batch.selection().swap(scratch.sel_true);
-    if (was_dense && !batch.empty() &&
-        batch.selection().back() - batch.selection().front() + 1 ==
-            batch.size()) {
-      batch.MarkDense();
-    }
-  }
-  if (was_dense && !negative.empty() &&
-      negative.selection().back() - negative.selection().front() + 1 ==
-          negative.size()) {
-    negative.MarkDense();
+    batch.SwapSelection(&scratch.sel_true);
   }
   BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
   return Emit(kPortNegative, std::move(negative));

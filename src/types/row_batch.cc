@@ -58,7 +58,13 @@ RowBatch RowBatch::ShareWithSelection(std::vector<uint32_t> sel) const {
   view.storage_ = storage_;
   view.columns_ = columns_;
   view.sel_ = std::move(sel);
+  view.KeepDenseIfContiguous(dense_);
   return view;
+}
+
+void RowBatch::SwapSelection(std::vector<uint32_t>* sel) {
+  sel_.swap(*sel);
+  KeepDenseIfContiguous(dense_);
 }
 
 Row RowBatch::TakeRow(size_t i) {

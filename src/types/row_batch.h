@@ -75,12 +75,6 @@ class RowBatch {
   /// materializations. Hot loops use it to index storage directly.
   bool dense() const { return dense_; }
 
-  /// Re-asserts density after a mutation that provably kept the selection
-  /// a contiguous run (e.g. a filter that dropped no rows). The non-const
-  /// selection() accessor conservatively clears the flag; callers that
-  /// preserved contiguity restore the fast path with this.
-  void MarkDense() { dense_ = true; }
-
   /// Storage row by storage index (an entry of selection()).
   const Row& storage_row(uint32_t storage_idx) const {
     return (*storage_)[storage_idx];
@@ -97,8 +91,16 @@ class RowBatch {
   Row& MutableRow(size_t i) { return (*owned_)[sel_[i]]; }
 
   /// A new view over the same storage with its own selection vector —
-  /// the zero-copy output of a bypass split.
+  /// the zero-copy output of a bypass split. `sel` must be an ascending
+  /// subset of this batch's selection. A narrowed dense run is still
+  /// dense exactly when it kept a contiguous run (sel.back() - sel.front()
+  /// + 1 == sel.size()); the view carries the flag in that case.
   RowBatch ShareWithSelection(std::vector<uint32_t> sel) const;
+
+  /// Narrows the selection in place to `*sel`, an ascending subset of it,
+  /// by swapping: the old selection lands in `*sel` so callers recycle
+  /// their scratch vector. Density follows the ShareWithSelection rule.
+  void SwapSelection(std::vector<uint32_t>* sel);
 
   /// The i-th selected row, moved out when exclusively owned, copied
   /// otherwise. Each selected row may be taken at most once.
@@ -112,6 +114,13 @@ class RowBatch {
   std::vector<Row> ToRows();
 
  private:
+  /// Sets the dense flag for a selection just narrowed from a batch whose
+  /// flag was `was_dense`.
+  void KeepDenseIfContiguous(bool was_dense) {
+    dense_ = was_dense && !sel_.empty() &&
+             sel_.back() - sel_.front() + 1 == sel_.size();
+  }
+
   std::shared_ptr<std::vector<Row>> owned_;
   // Shared-ownership anchors for SharedColumnar batches; storage_ /
   // columns_ point into them when set.

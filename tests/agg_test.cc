@@ -17,7 +17,7 @@ AggregateSpec Spec(AggFunc func, bool distinct = false,
   spec.func = func;
   spec.distinct = distinct;
   spec.arg = star ? nullptr : Slot0();
-  spec.output_name = "g";
+  spec.output_name = std::string("g");
   return spec;
 }
 

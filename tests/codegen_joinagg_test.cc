@@ -1,5 +1,5 @@
-// Differential tests for the widened compiled region (DESIGN.md §12):
-// generation-2 pipelines that fuse the hash-join probe loop and the
+// Differential tests for the breaker terminals of compiled chains
+// (DESIGN.md §12): pipelines that fuse the hash-join probe loop and the
 // group-by accumulate loop into the emitted function must agree with
 // the interpreted oracle — across batch sizes {1, 2, 7, 1024},
 // NULL-heavy 3VL join/group keys, the morsel-parallel executor, and the
@@ -208,27 +208,33 @@ TEST(CodegenJoinAgg, MultiKeyGroupByStaysInterpreted) {
   EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
 }
 
-// The widened region can be disabled independently of the filter tier;
-// plans still compile generation-1 pipelines but never fuse breakers.
-TEST(CodegenJoinAgg, WidenedRegionRespectsOptionGate) {
+// A breaker the lowering declines keeps its compiled filter prefix: the
+// non-column aggregate argument rules out the accumulate terminal, so the
+// disjunctive σ must still run natively (filter-survivors terminal) and
+// feed the interpreted group-by.
+TEST(CodegenJoinAgg, DeclinedBreakerKeepsFilterPrefix) {
   Database db;
-  LoadSmallRst(&db, 115, 60, 30, 15);
+  LoadSmallRst(&db, 115, 60, 30, 15, 0.3);
   REQUIRE_CODEGEN(db);
-  QueryOptions opts = JoinAggOptions(1024);
-  opts.codegen_widened = false;
-  const std::string sql = kJoinGroupQueries[1];
-  auto prepared = db.Prepare(sql, opts);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto res = prepared->Execute(opts);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->stats.compiled_join_batches, 0);
-  EXPECT_EQ(res->stats.compiled_agg_batches, 0);
+  const std::string sql =
+      "SELECT a2, SUM(a4 + 1) FROM r WHERE a1 < 3 OR a4 > 5 GROUP BY a2";
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    const QueryOptions opts = JoinAggOptions(batch_size);
+    auto res = db.Query(sql, opts);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_GT(res->stats.compiled_batches, 0)
+        << "the filter prefix did not run compiled";
+    EXPECT_EQ(res->stats.compiled_agg_batches, 0)
+        << "a non-column aggregate argument was fused into compiled code";
+    EXPECT_EQ(res->stats.compiled_fallback_batches, 0);
 
-  QueryOptions interp = opts;
-  interp.enable_codegen = false;
-  auto oracle = db.Query(sql, interp);
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
+    QueryOptions interp = opts;
+    interp.enable_codegen = false;
+    auto oracle = db.Query(sql, interp);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
+  }
 }
 
 // ------------------------------------------------- async swap-in
@@ -345,7 +351,9 @@ TEST_P(CodegenParallelDifferentialJoinAgg, MorselParallelMatchesInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Threads, CodegenParallelDifferentialJoinAgg,
                          ::testing::Values(1, 4),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -399,6 +399,39 @@ TEST(Codegen, ScratchDirectoryStaysClean) {
   EXPECT_EQ(db.codegen_engine()->ScratchFileCount(), 0);
 }
 
+// The loader accepts exactly one ABI version. Objects exporting either
+// retired entry point — version 1 with the routing-only bypass_cg_run,
+// version 2 with bypass_cg_run2 — must be refused, never called.
+TEST(Codegen, StaleAbiObjectsAreRefused) {
+  CodegenEngine engine;
+  if (!CodegenEngine::BuiltWithCodegen() || !engine.Available()) {
+    GTEST_SKIP() << "codegen tier unavailable on this build/host";
+  }
+  const std::string stale[] = {
+      "extern \"C\" long long bypass_cg_abi() { return 1; }\n"
+      "extern \"C\" void bypass_cg_run(const void*, unsigned* const*, "
+      "unsigned long long*) {}\n",
+      "extern \"C\" long long bypass_cg_abi() { return 2; }\n"
+      "extern \"C\" void bypass_cg_run2(const void*, const void*, "
+      "const void*, void* const*, unsigned*, unsigned*, unsigned long "
+      "long, unsigned long long, unsigned long long*) {}\n",
+  };
+  int64_t errors = engine.stats().compile_errors;
+  for (const std::string& source : stale) {
+    CompiledFnSlotPtr slot =
+        engine.Submit(source, /*stats_epoch=*/0, /*synchronous=*/true);
+    ASSERT_NE(slot, nullptr);
+    EXPECT_TRUE(slot->failed()) << source;
+    EXPECT_EQ(slot->ready(), nullptr) << source;
+    EXPECT_NE(slot->error().find("ABI mismatch"), std::string::npos)
+        << slot->error();
+    EXPECT_EQ(engine.stats().compile_errors, errors + 1) << source;
+    errors = engine.stats().compile_errors;
+  }
+  EXPECT_EQ(engine.stats().compiles, 0);
+  EXPECT_EQ(engine.ScratchFileCount(), 0);
+}
+
 // --------------------------------------------------- parallel execution
 
 class CodegenParallelDifferential
@@ -420,7 +453,9 @@ TEST_P(CodegenParallelDifferential, MorselParallelMatchesInterpreter) {
 INSTANTIATE_TEST_SUITE_P(Threads, CodegenParallelDifferential,
                          ::testing::Values(1, 4),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // Concurrent sessions racing the async compiler against ANALYZE churn:

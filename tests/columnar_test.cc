@@ -191,8 +191,10 @@ TEST(ColumnarKernel, Int64ColumnVsConstant) {
   KernelFixture fix({DataType::kInt64});
   Rng rng(17);
   for (int i = 0; i < 200; ++i) {
-    fix.Add(Row{rng.Bernoulli(0.3) ? Value::Null()
-                                   : Value::Int64(rng.UniformInt(-5, 5))});
+    Row row;
+    row.push_back(rng.Bernoulli(0.3) ? Value::Null()
+                                     : Value::Int64(rng.UniformInt(-5, 5)));
+    fix.Add(std::move(row));
   }
   for (CompareOp op : kAllOps) {
     ExpectPartitionsAgree(ComparisonExpr(op, ColRef(0), Lit(Value::Int64(0))),
@@ -217,7 +219,10 @@ TEST(ColumnarKernel, DoubleColumnsWithNaN) {
       if (rng.Bernoulli(0.1)) return Value::Double(-0.0);
       return Value::Double(static_cast<double>(rng.UniformInt(-4, 4)) / 2);
     };
-    fix.Add(Row{cell(), cell()});
+    Row row;
+    row.push_back(cell());
+    row.push_back(cell());
+    fix.Add(std::move(row));
   }
   for (CompareOp op : kAllOps) {
     ExpectPartitionsAgree(ComparisonExpr(op, ColRef(0), ColRef(1)), fix);

@@ -89,7 +89,11 @@ MiniPlan BinaryPlan(const Table* left, const Table* right, PhysOpPtr op,
 
 Table MakeTable(const char* name, int cols, std::vector<Row> rows) {
   std::vector<std::string> names;
-  for (int i = 0; i < cols; ++i) names.push_back("c" + std::to_string(i));
+  for (int i = 0; i < cols; ++i) {
+    std::string name = "c";
+    name += std::to_string(i);
+    names.push_back(std::move(name));
+  }
   Table table(name, IntSchema(names));
   EXPECT_TRUE(table.AppendUnchecked(std::move(rows)).ok());
   return table;

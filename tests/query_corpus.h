@@ -90,9 +90,19 @@ class QueryGenerator {
     switch (rng_.UniformInt(0, 3)) {
       case 0:
         return SimplePredicate('a');
-      case 1:
-        return "a" + std::to_string(rng_.UniformInt(1, 2)) + " " +
-               Theta() + " " + ScalarBlock(allow_nested);
+      case 1: {
+        // Draw order (block, θ, column) is the corpus's historical one;
+        // changing it would reshuffle every seeded query.
+        const std::string block = ScalarBlock(allow_nested);
+        const std::string theta = Theta();
+        std::string pred = "a";
+        pred += std::to_string(rng_.UniformInt(1, 2));
+        pred += " ";
+        pred += theta;
+        pred += " ";
+        pred += block;
+        return pred;
+      }
       case 2:
         return "EXISTS (SELECT * FROM t WHERE a3 = c2 AND " +
                SimplePredicate('c') + ")";

@@ -69,6 +69,27 @@ TEST(RowBatchTest, ShareWithSelectionIsNotDenseAndSharesStorage) {
   EXPECT_FALSE(view.ExclusivelyOwned());
 }
 
+// A narrowed dense run is dense again exactly when it kept a contiguous
+// run; a view of a non-dense batch never is.
+TEST(RowBatchTest, NarrowedSelectionKeepsDensityWhenContiguous) {
+  const std::vector<Row> storage = ThreeRows();
+  const RowBatch dense = RowBatch::Borrowed(&storage, 0, 3);
+  EXPECT_TRUE(dense.ShareWithSelection({1, 2}).dense());
+  EXPECT_FALSE(dense.ShareWithSelection({0, 2}).dense());
+  EXPECT_FALSE(dense.ShareWithSelection({}).dense());
+
+  RowBatch narrowed = RowBatch::Borrowed(&storage, 0, 3);
+  std::vector<uint32_t> sel = {0, 1};
+  narrowed.SwapSelection(&sel);
+  EXPECT_TRUE(narrowed.dense());
+  EXPECT_EQ(sel.size(), 3u);  // the old selection comes back for reuse
+  sel = {1};
+  narrowed.selection();  // mutable access drops the flag
+  EXPECT_FALSE(narrowed.ShareWithSelection({1}).dense());
+  narrowed.SwapSelection(&sel);
+  EXPECT_FALSE(narrowed.dense());
+}
+
 TEST(RowBatchTest, ExclusiveOwnershipReturnsWhenViewsDie) {
   RowBatch batch = RowBatch::FromRows(ThreeRows());
   {

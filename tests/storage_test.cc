@@ -189,8 +189,9 @@ TEST(StorageSegmentCodec, RoundTripsEveryEncoding) {
     } else {
       row.push_back(Value::Double(rng.UniformDouble()));
     }
-    row.push_back(i % 7 == 0 ? Value::Null()
-                             : Value::String("s" + std::to_string(i % 5)));
+    std::string label = "s";
+    label += std::to_string(i % 5);
+    row.push_back(i % 7 == 0 ? Value::Null() : Value::String(label));
     row.push_back(i % 2 == 0 ? Value::Int64(i)
                              : Value::Double(0.5 * i));
     rows.push_back(std::move(row));

@@ -83,10 +83,8 @@ std::string RunCell(Database* db, const std::string& sql,
   }
   char buf[32];
   const double s = result->execution_seconds();
-  if (s < 0.001) {
+  if (s < 1.0) {
     std::snprintf(buf, sizeof(buf), "%.2fms", s * 1000);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.0fms", s * 1000);
   } else {
     std::snprintf(buf, sizeof(buf), "%.2fs", s);
   }

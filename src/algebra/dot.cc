@@ -21,7 +21,6 @@ const char* NodeShape(LogicalOpKind kind) {
   switch (kind) {
     case LogicalOpKind::kGet:
       return "cylinder";
-    case LogicalOpKind::kBypassSelect:
     case LogicalOpKind::kBypassPartition:
     case LogicalOpKind::kBypassJoin:
       return "diamond";
@@ -53,14 +52,16 @@ std::string PlanToDot(const LogicalOp& root,
   for (const LogicalOp* node : nodes) {
     for (const LogicalInput& in : node->inputs()) {
       os << "  n" << ids[in.op.get()] << " -> n" << ids[node];
-      if (in.op->kind() == LogicalOpKind::kBypassSelect ||
+      const auto* part =
+          in.op->kind() == LogicalOpKind::kBypassPartition
+              ? static_cast<const BypassPartitionOp*>(in.op.get())
+              : nullptr;
+      if ((part != nullptr && part->is_bypass_select()) ||
           in.op->kind() == LogicalOpKind::kBypassJoin) {
         const bool negative = in.port == StreamPort::kNegative;
         os << " [label=\"" << (negative ? "-" : "+") << "\""
            << (negative ? ", style=dashed" : "") << "]";
-      } else if (in.op->kind() == LogicalOpKind::kBypassPartition) {
-        const auto* part =
-            static_cast<const BypassPartitionOp*>(in.op.get());
+      } else if (part != nullptr) {
         const int p = static_cast<int>(in.port);
         const bool rest =
             p == static_cast<int>(part->predicates().size());

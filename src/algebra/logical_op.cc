@@ -33,8 +33,6 @@ const char* LogicalOpKindToString(LogicalOpKind kind) {
       return "BinaryGroupBy";
     case LogicalOpKind::kUnion:
       return "UnionAll";
-    case LogicalOpKind::kBypassSelect:
-      return "BypassSelect";
     case LogicalOpKind::kBypassPartition:
       return "BypassPartition";
     case LogicalOpKind::kBypassJoin:
@@ -182,15 +180,6 @@ LogicalOpPtr SelectOp::CloneNode(std::vector<LogicalInput> in) const {
   return std::make_shared<SelectOp>(std::move(in[0]), predicate_->Clone());
 }
 
-std::string BypassSelectOp::Label() const {
-  return "BypassSelect± " + predicate_->ToString();
-}
-
-LogicalOpPtr BypassSelectOp::CloneNode(std::vector<LogicalInput> in) const {
-  return std::make_shared<BypassSelectOp>(std::move(in[0]),
-                                          predicate_->Clone());
-}
-
 // ------------------------------------------------------- BypassPartition
 
 BypassPartitionOp::BypassPartitionOp(LogicalInput input,
@@ -203,6 +192,9 @@ BypassPartitionOp::BypassPartitionOp(LogicalInput input,
 }
 
 std::string BypassPartitionOp::Label() const {
+  if (is_bypass_select()) {
+    return "BypassSelect± " + predicates_[0]->ToString();
+  }
   std::vector<std::string> parts;
   parts.reserve(predicates_.size());
   for (const ExprPtr& p : predicates_) parts.push_back(p->ToString());
@@ -564,18 +556,24 @@ void CollectTopological(const LogicalOp* node,
 }
 
 struct PrintState {
+  std::unordered_map<const LogicalOp*, int> ref_count;
+  /// Shared nodes numbered in print order, so the text depends on the
+  /// plan alone, not on where its nodes were allocated.
   std::unordered_map<const LogicalOp*, int> shared_ids;
-  std::unordered_map<const LogicalOp*, bool> printed;
-  int next_id = 1;
 };
 
 void PrintNode(const LogicalOp* node, StreamPort port, int indent,
                PrintState* state, std::ostringstream* os) {
   for (int i = 0; i < indent; ++i) *os << "  ";
-  if (node->kind() == LogicalOpKind::kBypassPartition) {
+  const auto count = state->ref_count.find(node);
+  const bool shared =
+      count != state->ref_count.end() && count->second > 1;
+  const auto* part = node->kind() == LogicalOpKind::kBypassPartition
+                         ? static_cast<const BypassPartitionOp*>(node)
+                         : nullptr;
+  if (part != nullptr && !part->is_bypass_select()) {
     // Multiway streams: [t<i>] = disjunct i's tagged stream,
     // [rest] = the all-false/unknown remainder.
-    const auto* part = static_cast<const BypassPartitionOp*>(node);
     const int p = static_cast<int>(port);
     if (p == static_cast<int>(part->predicates().size())) {
       *os << "[rest] ";
@@ -584,17 +582,17 @@ void PrintNode(const LogicalOp* node, StreamPort port, int indent,
     }
   } else if (port == StreamPort::kNegative) {
     *os << "[-] ";
-  } else if (state->shared_ids.count(node) > 0) {
+  } else if (shared) {
     *os << "[+] ";
   }
-  auto id_it = state->shared_ids.find(node);
-  if (id_it != state->shared_ids.end()) {
-    *os << "#" << id_it->second << " ";
-    if (state->printed[node]) {
+  if (shared) {
+    const int next_id = static_cast<int>(state->shared_ids.size()) + 1;
+    const auto [it, first] = state->shared_ids.emplace(node, next_id);
+    *os << "#" << it->second << " ";
+    if (!first) {
       *os << "(shared " << node->Label() << ")\n";
       return;
     }
-    state->printed[node] = true;
   }
   *os << node->Label() << "\n";
   for (const LogicalInput& in : node->inputs()) {
@@ -613,15 +611,11 @@ std::vector<const LogicalOp*> TopologicalNodes(const LogicalOp& root) {
 
 std::string PlanToString(const LogicalOp& root) {
   // Count references to discover shared (bypass) nodes.
-  std::unordered_map<const LogicalOp*, int> ref_count;
+  PrintState state;
   for (const LogicalOp* node : TopologicalNodes(root)) {
     for (const LogicalInput& in : node->inputs()) {
-      ++ref_count[in.op.get()];
+      ++state.ref_count[in.op.get()];
     }
-  }
-  PrintState state;
-  for (const auto& [node, count] : ref_count) {
-    if (count > 1) state.shared_ids[node] = state.next_id++;
   }
   std::ostringstream os;
   PrintNode(&root, StreamPort::kOut, 0, &state, &os);

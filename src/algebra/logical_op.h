@@ -50,7 +50,6 @@ enum class LogicalOpKind {
   kGroupBy,
   kBinaryGroupBy,
   kUnion,
-  kBypassSelect,
   kBypassPartition,
   kBypassJoin,
   kNumbering,
@@ -156,34 +155,14 @@ class SelectOp : public LogicalOp {
   ExprPtr predicate_;
 };
 
-/// Bypass selection σ±_p: positive stream = tuples where p is true,
-/// negative stream = the rest (false or unknown).
-class BypassSelectOp : public LogicalOp {
- public:
-  BypassSelectOp(LogicalInput input, ExprPtr predicate)
-      : LogicalOp({std::move(input)}, Schema()),
-        predicate_(std::move(predicate)) {
-    schema_ = input_schema(0);
-  }
-  LogicalOpKind kind() const override {
-    return LogicalOpKind::kBypassSelect;
-  }
-  const ExprPtr& predicate() const { return predicate_; }
-  std::string Label() const override;
-
- protected:
-  LogicalOpPtr CloneNode(std::vector<LogicalInput> in) const override;
-
- private:
-  ExprPtr predicate_;
-};
-
 /// K-way tagged bypass partition σ±_{p1|...|pk}: one node splits its
 /// input into k+1 streams. Stream i < k carries the tuples whose *first*
 /// TRUE disjunct is p_{i+1} (the tag set of tagged execution); stream k
 /// carries the remainder, on which every disjunct was false or unknown.
 /// Equivalent to a cascade of k bypass selections over the same ordered
-/// disjuncts. All streams share the input schema.
+/// disjuncts. All streams share the input schema. At k = 1 it is the
+/// paper's bypass selection σ±_p: stream 0 carries the tuples where p is
+/// true, the remainder (StreamPort::kNegative) the false-or-unknown rest.
 class BypassPartitionOp : public LogicalOp {
  public:
   BypassPartitionOp(LogicalInput input, std::vector<ExprPtr> predicates);
@@ -197,6 +176,8 @@ class BypassPartitionOp : public LogicalOp {
   StreamPort remainder() const {
     return static_cast<StreamPort>(predicates_.size());
   }
+  /// k = 1: the binary σ±, labelled and printed with the paper's names.
+  bool is_bypass_select() const { return predicates_.size() == 1; }
   std::string Label() const override;
 
  protected:

@@ -18,9 +18,6 @@ std::vector<ExprPtr> NodeExpressions(const LogicalOp& node) {
     case LogicalOpKind::kSelect:
       out.push_back(static_cast<const SelectOp&>(node).predicate());
       break;
-    case LogicalOpKind::kBypassSelect:
-      out.push_back(static_cast<const BypassSelectOp&>(node).predicate());
-      break;
     case LogicalOpKind::kBypassPartition:
       for (const ExprPtr& p :
            static_cast<const BypassPartitionOp&>(node).predicates()) {

@@ -97,7 +97,7 @@ struct CgGroupView {
 
 /// The one entry point every artifact exports (bypass_cg_run). `outs`
 /// are the output cursors and `counts` what the terminal wrote to them:
-///   * routing terminals (filter survivors, σ±, k-way) write each
+///   * routing terminals (filter survivors, k-way incl. σ±) write each
 ///     selected row's storage index to exactly one port cursor outs[p]
 ///     (or drop it) and the per-port counts to counts[p]; the caller
 ///     sizes each outs[p] to n. `jv`, `gv`, `accs`, `out_cap` and

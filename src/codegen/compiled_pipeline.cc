@@ -69,6 +69,7 @@ Status CompiledPipelineOp::Prepare(ExecContext* ctx) {
                              : static_cast<size_t>(chain_.num_out_ports);
   for (Scratch& s : scratch_) {
     s.cursors.resize(cursors);
+    s.views.resize(cursors);
     s.outs.resize(cursors);
     s.counts.resize(cursors);
     s.cols.resize(chain_.slots.size());
@@ -268,43 +269,28 @@ void CompiledPipelineOp::SizeCursors(Scratch* s, size_t n) {
 }
 
 Status CompiledPipelineOp::Route(RowBatch batch, Scratch& s) {
-  auto selection = [&s](size_t p) {
-    return std::vector<uint32_t>(
-        s.cursors[p].begin(),
-        s.cursors[p].begin() + static_cast<ptrdiff_t>(s.counts[p]));
-  };
-  // Narrows the batch to the port-0 cursor, recycling the old selection
-  // as the next batch's cursor. Nothing dropped keeps the batch (and its
-  // dense flag) untouched.
-  auto narrow_to_port0 = [&] {
-    if (s.counts[0] == batch.size()) return;
-    s.cursors[0].resize(s.counts[0]);
-    batch.SwapSelection(&s.cursors[0]);
-  };
-  switch (chain_.terminal.kind) {
-    case ChainTerminalKind::kPartitionK: {
-      const size_t streams = static_cast<size_t>(chain_.num_out_ports);
-      ctx_->stats()->AddTaggedBatch(streams,
-                                    [&s](size_t i) { return s.counts[i]; });
-      for (size_t i = 0; i < streams; ++i) {
-        if (s.counts[i] == 0) continue;
-        BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i),
-                                    batch.ShareWithSelection(selection(i))));
-      }
-      return Status::OK();
-    }
-    case ChainTerminalKind::kBypass: {
-      // The negative view is built before the positive selection mutates
-      // the batch (BypassFilterOp's order).
-      RowBatch negative = batch.ShareWithSelection(selection(1));
-      narrow_to_port0();
-      BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
-      return Emit(kPortNegative, std::move(negative));
-    }
-    default:  // kFilter: one surviving selection
-      narrow_to_port0();
-      return Emit(kPortOut, std::move(batch));
+  // The interpreter's emission discipline (BypassPartitionKOp): ports
+  // 1..k become views while the batch still carries its dense flag, then
+  // port 0 narrows the batch itself, recycling the old selection as the
+  // next batch's cursor. A filter-survivors terminal has port 0 only.
+  const size_t ports = static_cast<size_t>(chain_.num_out_ports);
+  ctx_->stats()->AddTaggedBatch(ports,
+                                [&s](size_t i) { return s.counts[i]; });
+  for (size_t i = 1; i < ports; ++i) {
+    s.views[i] = s.counts[i] == 0
+                     ? RowBatch()
+                     : batch.ShareWithSelection(std::vector<uint32_t>(
+                           s.cursors[i].begin(),
+                           s.cursors[i].begin() +
+                               static_cast<ptrdiff_t>(s.counts[i])));
   }
+  s.cursors[0].resize(s.counts[0]);
+  batch.SwapSelection(&s.cursors[0]);
+  BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
+  for (size_t i = 1; i < ports; ++i) {
+    BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i), std::move(s.views[i])));
+  }
+  return Status::OK();
 }
 
 Status CompiledPipelineOp::EmitProbePairs(const RowBatch& batch,
@@ -432,7 +418,6 @@ Status CompiledPipelineOp::Consume(int, RowBatch batch) {
   SizeCursors(&s, cg.n);
   switch (chain_.terminal.kind) {
     case ChainTerminalKind::kFilter:
-    case ChainTerminalKind::kBypass:
     case ChainTerminalKind::kPartitionK:
       run(&cg, nullptr, nullptr, nullptr, s.outs.data(), cg.n, 0,
           s.counts.data());

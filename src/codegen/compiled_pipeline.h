@@ -10,9 +10,10 @@
 //
 // What the operator does with the function's output depends on the
 // terminal:
-//   * routing terminals (filter survivors, σ±, k-way partition): the
-//     port cursors become the emitted batches' selections — same
-//     routing, ordering and dense-flag discipline as the interpreter.
+//   * routing terminals (filter survivors, k-way partition with σ± as
+//     its k = 1 case): the port cursors become the emitted batches'
+//     selections — same routing, ordering and dense-flag discipline as
+//     the interpreter.
 //   * hash-join probe: (position, build row) pairs against the
 //     interpreted HashJoinOp's published slot view; this operator
 //     materializes the concatenated rows and emits them to the join's
@@ -77,6 +78,7 @@ class CompiledPipelineOp : public UnaryPhysOp {
   /// for breakers) are grow-only across batches.
   struct alignas(64) Scratch {
     std::vector<std::vector<uint32_t>> cursors;
+    std::vector<RowBatch> views;  // routing ports 1..k (by port)
     std::vector<uint32_t*> outs;
     std::vector<uint64_t> counts;
     std::vector<CgCol> cols;

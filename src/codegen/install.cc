@@ -223,23 +223,15 @@ bool RecognizeBreaker(PhysOp* op, int in_port, const Schema& schema,
   return true;
 }
 
-/// Recognizes the terminal that closes `chain`: a σ± split or k-way
-/// partition whose predicates lower, or a fusable breaker. Anything else
+/// Recognizes the terminal that closes `chain`: a bypass partition (σ±
+/// at k = 1) whose predicates lower, or a fusable breaker. Anything else
 /// — and any terminal the lowering later declines — leaves a non-empty
 /// filter prefix on the filter-survivors terminal.
 bool RecognizeTerminal(const DiscoveredChain& chain, const Schema& schema,
                        RecognizedTerminal* out) {
   PhysOp* next = chain.next;
   if (next == nullptr) return false;
-  if (auto* bypass = dynamic_cast<BypassFilterOp*>(next)) {
-    if (!PredicateSupported(bypass->predicate(), schema)) return false;
-    out->desc.kind = ChainTerminalKind::kBypass;
-    out->desc.predicates = {&bypass->predicate()};
-    out->op = bypass;
-    return true;
-  }
   if (auto* part = dynamic_cast<BypassPartitionKOp*>(next)) {
-    if (part->predicates().size() < 2) return false;
     out->desc.kind = ChainTerminalKind::kPartitionK;
     for (const ExprPtr& p : part->predicates()) {
       if (!PredicateSupported(*p, schema)) return false;

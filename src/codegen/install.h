@@ -1,11 +1,11 @@
 // The codegen splice pass (DESIGN.md §12): after the planner lowered a
 // logical plan to a PhysicalPlan, this pass takes each scan-rooted chain
 // in one sweep — discover the longest compilable σ filter prefix,
-// recognise the terminal that closes it (σ± split, k-way partition,
-// hash-join probe, group-by accumulate, or probe plus accumulate), lower
-// the chain to C++ (codegen/lower_chain.h), submit it to the
-// CodegenEngine, and splice a CompiledPipelineOp between the scan and
-// the terminal's consumers. A terminal that is absent or declined leaves
+// recognise the terminal that closes it (k-way partition, σ± being its
+// k = 1 case, hash-join probe, group-by accumulate, or probe plus
+// accumulate), lower the chain to C++ (codegen/lower_chain.h), submit
+// it to the CodegenEngine, and splice a CompiledPipelineOp between the
+// scan and the terminal's consumers. A terminal that is absent or declined leaves
 // the filter prefix on the filter-survivors terminal. The interpreted
 // chain stays in the plan, wired to the same consumers: it is the
 // fallback path while the async compile runs (and forever, if it

@@ -515,32 +515,25 @@ bool LowerChain(const std::vector<const Expr*>& filters,
       if (filters.empty()) return false;
       route << "      o0[n0++] = r;\n";
       break;
-    case ChainTerminalKind::kBypass: {
-      if (terminal.predicates.size() != 1 ||
-          terminal.predicates[0] == nullptr) {
-        return false;
-      }
-      const std::string t = em.EmitPredicate(*terminal.predicates[0], 0);
-      if (t.empty()) return false;
-      route << em.TakeBody();
-      route << "      if (" << t << " == 1) o0[n0++] = r;\n"
-            << "      else o1[n1++] = r;\n";
-      num_ports = 2;
-      break;
-    }
     case ChainTerminalKind::kPartitionK: {
-      if (terminal.predicates.size() < 2) return false;
+      if (terminal.predicates.empty()) return false;
       const int k = static_cast<int>(terminal.predicates.size());
       for (int j = 0; j < k; ++j) {
         if (terminal.predicates[j] == nullptr) return false;
         const std::string t = em.EmitPredicate(*terminal.predicates[j], 0);
         if (t.empty()) return false;
         route << em.TakeBody();
-        route << "      if (" << t << " == 1) { o" << j << "[n" << j
-              << "++] = r; break; }\n";
+        if (j + 1 < k) {
+          route << "      if (" << t << " == 1) { o" << j << "[n" << j
+                << "++] = r; break; }\n";
+        } else {
+          // The last disjunct splits what is left: TRUE to its port, the
+          // remainder (no disjunct TRUE) to port k — at k = 1 the σ± loop.
+          route << "      if (" << t << " == 1) o" << j << "[n" << j
+                << "++] = r;\n"
+                << "      else o" << k << "[n" << k << "++] = r;\n";
+        }
       }
-      // No disjunct claimed the row: remainder stream k.
-      route << "      o" << k << "[n" << k << "++] = r;\n";
       num_ports = k + 1;
       break;
     }
@@ -777,7 +770,6 @@ bool LowerChain(const std::vector<const Expr*>& filters,
 
   switch (kind) {
     case ChainTerminalKind::kFilter:
-    case ChainTerminalKind::kBypass:
     case ChainTerminalKind::kPartitionK:
       // One routing pass: every selected row lands in exactly one port
       // or is dropped by the σ prefix.
@@ -879,9 +871,12 @@ bool LowerChain(const std::vector<const Expr*>& filters,
   summary << filters.size() << " σ + ";
   switch (kind) {
     case ChainTerminalKind::kFilter: summary << "survivors"; break;
-    case ChainTerminalKind::kBypass: summary << "σ±"; break;
     case ChainTerminalKind::kPartitionK:
-      summary << "k=" << terminal.predicates.size();
+      if (terminal.predicates.size() == 1) {
+        summary << "σ±";
+      } else {
+        summary << "k=" << terminal.predicates.size();
+      }
       break;
     case ChainTerminalKind::kJoinProbe: summary << "probe"; break;
     case ChainTerminalKind::kGroupBy:

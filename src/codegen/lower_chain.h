@@ -1,8 +1,8 @@
 // Chain lowering: turns a scan-rooted compiled chain — zero or more σ
 // filters followed by exactly one terminal (DESIGN.md §12) — into one
 // self-contained C++ translation unit exporting bypass_cg_run. The
-// terminals are: filter survivors to port 0, the σ± bypass split, the
-// k-way tagged partition, a hash-join probe, a group-by accumulate, and
+// terminals are: filter survivors to port 0, the k-way tagged partition
+// (σ± is its k = 1 case), a hash-join probe, a group-by accumulate, and
 // a probe feeding an accumulate. The emitted function replicates the
 // interpreter's semantics exactly:
 //
@@ -51,8 +51,7 @@ struct CgSlotUse {
 /// loop and return (position, value) pairs instead.
 enum class ChainTerminalKind {
   kFilter,       ///< survivors of the σ prefix → port 0
-  kBypass,       ///< σ±: TRUE → port 0, FALSE/UNKNOWN → port 1
-  kPartitionK,   ///< k-way: first-TRUE disjunct i → port i, rest → port k
+  kPartitionK,   ///< first-TRUE disjunct i → port i, rest → port k (k=1: σ±)
   kJoinProbe,    ///< hash-join probe loop → (position, build row) pairs
   kGroupBy,      ///< group-by accumulate loop over the int64 fast path
   kJoinGroupBy,  ///< probe feeding accumulate, fully fused
@@ -78,7 +77,7 @@ struct CgAggFold {
 };
 
 /// The terminal of a chain: its kind plus what that kind needs — the
-/// routing predicate(s) for σ± (one) and k-way (k, rank-ordered), the
+/// k rank-ordered routing predicates of a partition, the
 /// scan slots of the int64 probe/group keys and the folded aggregates
 /// for the breaker terminals.
 struct ChainTerminal {
@@ -96,7 +95,7 @@ struct LoweredChain {
   /// Columns in CgBatch::cols order.
   std::vector<CgSlotUse> slots;
   /// Output ports of the compiled operator: 1 for filter survivors and
-  /// the breakers, 2 for σ±, k + 1 for the k-way partition.
+  /// the breakers, k + 1 for the k-way partition.
   int num_out_ports = 1;
   /// Echo of the terminal the source implements.
   ChainTerminal terminal;
@@ -116,7 +115,7 @@ bool LowerChain(const std::vector<const Expr*>& filters,
 
 /// Dry run of one predicate: true when it would lower. The install pass
 /// uses this to find the longest compilable filter prefix of a chain and
-/// to decide whether a σ±/k-way operator can terminate it.
+/// to decide whether a partition can terminate it.
 bool PredicateSupported(const Expr& predicate, const Schema& schema);
 
 }  // namespace bypass

@@ -49,6 +49,7 @@ Status BypassPartitionKOp::Prepare(ExecContext* ctx) {
   const size_t k = predicates_.size();
   for (Scratch& s : scratch_) {
     s.streams.resize(k + 1);
+    s.views.resize(k + 1);
     s.outs.resize(k + 1);
     for (size_t i = 0; i <= k; ++i) s.outs[i] = &s.streams[i];
   }
@@ -85,14 +86,23 @@ Status BypassPartitionKOp::Consume(int, RowBatch batch) {
 
   ctx_->stats()->AddTaggedBatch(
       k + 1, [&](size_t i) { return scratch.streams[i].size(); });
-  for (size_t i = 0; i <= k; ++i) {
-    // Emit drops empty batches anyway; skipping them here avoids k-1
-    // RowBatch round-trips per batch when one disjunct claims everything
-    // (and most of the small-batch overhead at batch_size=1).
-    if (scratch.streams[i].empty()) continue;
-    RowBatch out = batch.ShareWithSelection(std::move(scratch.streams[i]));
-    scratch.streams[i].clear();
-    BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i), std::move(out)));
+  // Ports 1..k become views over the shared storage, built while the
+  // batch still carries its dense flag; port 0 then narrows the batch
+  // itself, recycling the old selection as scratch. Empty streams build
+  // no view: when one port claims everything, that saves k RowBatch
+  // round-trips per batch (most of the small-batch overhead at
+  // batch_size=1).
+  for (size_t i = 1; i <= k; ++i) {
+    scratch.views[i] =
+        scratch.streams[i].empty()
+            ? RowBatch()
+            : batch.ShareWithSelection(std::move(scratch.streams[i]));
+  }
+  batch.SwapSelection(&scratch.streams[0]);
+  BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
+  for (size_t i = 1; i <= k; ++i) {
+    BYPASS_RETURN_IF_ERROR(
+        Emit(static_cast<int>(i), std::move(scratch.views[i])));
   }
   return Status::OK();
 }
@@ -127,6 +137,9 @@ Status BypassPartitionKOp::PartitionGeneric(const RowBatch& batch,
 }
 
 std::string BypassPartitionKOp::Label() const {
+  if (predicates_.size() == 1) {
+    return "BypassFilter± " + predicates_[0]->ToString();
+  }
   std::string label =
       "BypassPartition±[k=" + std::to_string(predicates_.size()) + "]";
   for (size_t i = 0; i < predicates_.size(); ++i) {

@@ -1,6 +1,7 @@
 // K-way tagged bypass partition σ±[p1..pk]: one operator splits its
-// input into k+1 streams, generalizing the binary bypass selection.
-// Output port i < k carries the tuples whose *first* TRUE disjunct is
+// input into k+1 streams. At k = 1 it is the paper's bypass selection
+// σ±_p (TRUE → port 0, FALSE/UNKNOWN → port 1) and keeps that name in
+// its label. Output port i < k carries the tuples whose *first* TRUE disjunct is
 // p_{i+1} — i.e. the tag set {¬p1, ..., ¬p_i, p_{i+1}} of tagged
 // execution (Kim & Madden, arXiv 2404.09109) — and port k carries the
 // remainder, on which every disjunct was FALSE or UNKNOWN (the 3VL null
@@ -10,9 +11,9 @@
 // intermediate operator hand-offs: when all disjuncts lower to typed
 // kernels the whole split is one fused ColumnarPartitionKWay call.
 //
-// Like BypassFilterOp, the split is a pure partition of the worker's own
-// selection vector (scratch is per worker), so concurrent morsel workers
-// need no synchronization; the streams re-merge deterministically in the
+// The split is a pure partition of the worker's own selection vector
+// (scratch is per worker), so concurrent morsel workers need no
+// synchronization; the streams re-merge deterministically in the
 // downstream union via the Emit/EmitFinish worker-order contract.
 #ifndef BYPASSDB_EXEC_BYPASS_PARTITION_H_
 #define BYPASSDB_EXEC_BYPASS_PARTITION_H_
@@ -42,6 +43,7 @@ class BypassPartitionKOp : public UnaryPhysOp {
  private:
   struct alignas(64) Scratch {
     std::vector<std::vector<uint32_t>> streams;  // k+1 output selections
+    std::vector<RowBatch> views;                 // ports 1..k (by port)
     std::vector<std::vector<uint32_t>*> outs;    // kernel out-pointer view
     std::vector<PartitionLevel> levels;          // per-batch lowered preds
     KWayScratch kway;                            // fused-path double buffer

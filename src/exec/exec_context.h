@@ -78,9 +78,11 @@ struct ExecStats {
   /// Accounts one k-way tagged batch: `rows(i)` rows went to stream i
   /// of `streams` (the k disjunct streams plus the remainder). The
   /// interpreted and the compiled partition both record through here, so
-  /// their counters agree row for row.
+  /// their counters agree row for row. Only k >= 2 counts as tagged: the
+  /// two-stream split is the paper's plain σ±.
   template <typename RowsFn>
   void AddTaggedBatch(size_t streams, RowsFn rows) {
+    if (streams < 3) return;
     tagged_batches += 1;
     if (tagged_stream_rows.size() < streams) {
       tagged_stream_rows.resize(streams, 0);
@@ -183,9 +185,10 @@ class ExecContext {
   bool limit_one() const { return limit_one_; }
   void set_limit_one(bool v) { limit_one_ = v; }
 
-  /// Stats sink for the current worker: with per-worker slots installed
-  /// (parallel queries) each worker gets its own padded slot; otherwise
-  /// the single user-provided struct.
+  /// Stats sink for the current worker, never null: with per-worker
+  /// slots installed (parallel queries) each worker gets its own padded
+  /// slot; otherwise the single user-provided struct, or the context's
+  /// own when none was provided.
   ExecStats* stats() {
     if (worker_stats_ != nullptr) {
       return &(*worker_stats_)[static_cast<size_t>(CurrentWorkerId())]
@@ -193,7 +196,10 @@ class ExecContext {
     }
     return stats_;
   }
-  void set_stats(ExecStats* stats) { stats_ = stats; }
+  /// nullptr restores the context's own struct.
+  void set_stats(ExecStats* stats) {
+    stats_ = stats != nullptr ? stats : &own_stats_;
+  }
   void set_worker_stats(SharedWorkerStats worker_stats) {
     worker_stats_ = std::move(worker_stats);
   }
@@ -341,7 +347,8 @@ class ExecContext {
   bool has_deadline_ = false;
   std::atomic<bool> cancelled_{false};
   bool limit_one_ = false;
-  ExecStats* stats_ = nullptr;
+  ExecStats own_stats_;
+  ExecStats* stats_ = &own_stats_;
   SharedWorkerStats worker_stats_;
 };
 

@@ -23,32 +23,4 @@ Status FilterOp::Consume(int, RowBatch batch) {
   return Emit(kPortOut, std::move(batch));
 }
 
-Status BypassFilterOp::Prepare(ExecContext* ctx) {
-  BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
-  return Status::OK();
-}
-
-Status BypassFilterOp::Consume(int, RowBatch batch) {
-  // One predicate pass partitions the selection vector: positive stream
-  // keeps the batch (selection replaced), the negative stream gets a view
-  // over the same storage. False and unknown both route negative
-  // (two-valued on NULL-free data, SQL-correct beyond), in input order.
-  Scratch& scratch = scratch_[static_cast<size_t>(CurrentWorkerId())];
-  scratch.sel_true.clear();
-  scratch.sel_true.reserve(batch.size());
-  scratch.sel_other.clear();
-  BYPASS_RETURN_IF_ERROR(predicate_->PartitionBatch(
-      batch, ctx_->outer_row(), &scratch.sel_true, &scratch.sel_other,
-      &scratch.sel_other));
-  RowBatch negative =
-      batch.ShareWithSelection(std::move(scratch.sel_other));
-  scratch.sel_other.clear();
-  if (scratch.sel_true.size() != batch.size()) {
-    batch.SwapSelection(&scratch.sel_true);
-  }
-  BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
-  return Emit(kPortNegative, std::move(negative));
-}
-
 }  // namespace bypass

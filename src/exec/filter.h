@@ -1,11 +1,9 @@
-// Selection σ_p and bypass selection σ±_p. The bypass variant routes
-// tuples failing (or unknown on) the predicate to the negative port
-// instead of dropping them — the short-circuit machinery of the paper's
-// disjunctive unnesting. Both evaluate the predicate once per batch and
-// partition the selection vector; the rows themselves never move. The
-// split is a pure partition of the worker's own selection vector, so
-// concurrent morsel workers need no synchronization (scratch vectors are
-// per worker).
+// Selection σ_p: evaluates the predicate once per batch and narrows the
+// selection vector to the rows where it is TRUE; the rows themselves
+// never move. Scratch vectors are per worker, so concurrent morsel
+// workers need no synchronization. The bypass selection σ±_p, which
+// routes the false-or-unknown rows to a second port instead of dropping
+// them, is the k = 1 case of BypassPartitionKOp (exec/bypass_partition.h).
 #ifndef BYPASSDB_EXEC_FILTER_H_
 #define BYPASSDB_EXEC_FILTER_H_
 
@@ -33,30 +31,6 @@ class FilterOp : public UnaryPhysOp {
  private:
   struct alignas(64) Scratch {
     std::vector<uint32_t> sel_true;
-  };
-
-  ExprPtr predicate_;
-  std::vector<Scratch> scratch_;  // per-worker per-batch scratch
-};
-
-class BypassFilterOp : public UnaryPhysOp {
- public:
-  explicit BypassFilterOp(ExprPtr predicate)
-      : UnaryPhysOp(/*num_out_ports=*/2),
-        predicate_(std::move(predicate)) {}
-
-  Status Prepare(ExecContext* ctx) override;
-  Status Consume(int in_port, RowBatch batch) override;
-  std::string Label() const override {
-    return "BypassFilter± " + predicate_->ToString();
-  }
-  /// The codegen lowering pass inspects the predicate.
-  const Expr& predicate() const { return *predicate_; }
-
- private:
-  struct alignas(64) Scratch {
-    std::vector<uint32_t> sel_true;
-    std::vector<uint32_t> sel_other;
   };
 
   ExprPtr predicate_;

@@ -396,9 +396,7 @@ Status HashJoinOp::EnterGraceMode() {
     BYPASS_ASSIGN_OR_RETURN(left_parts_[p],
                             ctx_->spill()->NewFile("gracel"));
   }
-  if (stats != nullptr) {
-    stats->spill_files += static_cast<int64_t>(2 * kGracePartitions);
-  }
+  stats->spill_files += static_cast<int64_t>(2 * kGracePartitions);
   auto route_right = [&](const Row& row) -> Status {
     // NULL-keyed rows can never match an inner join; dropping them here
     // mirrors the in-memory build skipping them.
@@ -433,10 +431,8 @@ Status HashJoinOp::EnterGraceMode() {
     routed_rows += part->rows_written();
     routed_bytes += part->bytes_written();
   }
-  if (stats != nullptr) {
-    stats->spilled_rows += routed_rows;
-    stats->spilled_bytes += routed_bytes;
-  }
+  stats->spilled_rows += routed_rows;
+  stats->spilled_bytes += routed_bytes;
   grace_ = true;
   return Status::OK();
 }
@@ -457,10 +453,8 @@ Status HashJoinOp::ProbeGracePartitions() {
     left_spill_rows += part->rows_written();
     left_spill_bytes += part->bytes_written();
   }
-  if (stats != nullptr) {
-    stats->spilled_rows += left_spill_rows;
-    stats->spilled_bytes += left_spill_bytes;
-  }
+  stats->spilled_rows += left_spill_rows;
+  stats->spilled_bytes += left_spill_bytes;
   std::vector<Row> build;
   Row row;
   for (size_t p = 0; p < kGracePartitions; ++p) {
@@ -506,7 +500,7 @@ Status HashJoinOp::ProbeGracePartitions() {
     table_.Clear();
     ctx_->ReleaseMemory(row_bytes + table_bytes);
     BYPASS_RETURN_IF_ERROR(st);
-    if (stats != nullptr) ++stats->join_spill_partitions;
+    ++stats->join_spill_partitions;
   }
   right_parts_.clear();
   left_parts_.clear();

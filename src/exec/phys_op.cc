@@ -163,17 +163,14 @@ Status BinaryPhysOp::SpillRightBuffer(InputBuffers* buffers) {
   if (buffers->spill == nullptr) {
     BYPASS_ASSIGN_OR_RETURN(buffers->spill,
                             ctx_->spill()->NewFile("build"));
-    if (stats != nullptr) ++stats->spill_files;
+    ++stats->spill_files;
   }
   const int64_t bytes_before = buffers->spill->bytes_written();
   for (const Row& row : buffers->right) {
     BYPASS_RETURN_IF_ERROR(buffers->spill->AppendRow(row));
   }
-  if (stats != nullptr) {
-    stats->spilled_rows += static_cast<int64_t>(buffers->right.size());
-    stats->spilled_bytes +=
-        buffers->spill->bytes_written() - bytes_before;
-  }
+  stats->spilled_rows += static_cast<int64_t>(buffers->right.size());
+  stats->spilled_bytes += buffers->spill->bytes_written() - bytes_before;
   buffers->right.clear();
   ctx_->ReleaseMemory(buffers->charged);
   buffers->charged = 0;

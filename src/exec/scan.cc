@@ -43,10 +43,9 @@ Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
     if (ctx_->cancelled()) break;
     BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     const size_t batch_end = std::min(b + batch_size(), end);
-    if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-      stats->rows_scanned += static_cast<int64_t>(batch_end - b);
-      if (columns != nullptr) ++stats->columnar_batches;
-    }
+    ExecStats* stats = ctx_->stats();
+    stats->rows_scanned += static_cast<int64_t>(batch_end - b);
+    if (columns != nullptr) ++stats->columnar_batches;
     RowBatch batch =
         columns != nullptr
             ? RowBatch::BorrowedColumnar(columns, &rows, b, batch_end)
@@ -76,10 +75,9 @@ Status TableScanOp::EmitSegmentRange(size_t seg, size_t begin,
     if (ctx_->cancelled()) break;
     BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     const size_t batch_end = std::min(b + batch_size(), end);
-    if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-      stats->rows_scanned += static_cast<int64_t>(batch_end - b);
-      if (columnar) ++stats->columnar_batches;
-    }
+    ExecStats* stats = ctx_->stats();
+    stats->rows_scanned += static_cast<int64_t>(batch_end - b);
+    if (columnar) ++stats->columnar_batches;
     RowBatch batch = RowBatch::SharedColumnar(
         columnar ? cache.store : nullptr, cache.rows,
         b - meta.row_begin, batch_end - meta.row_begin);
@@ -107,12 +105,10 @@ Status TableScanOp::RunMorsel(size_t begin, size_t end) {
     // Segment counters attribute to the morsel holding the segment's
     // first row, so they stay exact under any morsel alignment.
     const bool counts_here = lo == meta.row_begin;
-    if (stats != nullptr && counts_here) ++stats->segments_scanned;
+    if (counts_here) ++stats->segments_scanned;
     if (use_zones && !ZoneMayBeTrue(*zone_filter_, meta)) {
-      if (stats != nullptr) {
-        if (counts_here) ++stats->segments_skipped;
-        stats->zone_skip_rows += static_cast<int64_t>(hi - lo);
-      }
+      if (counts_here) ++stats->segments_skipped;
+      stats->zone_skip_rows += static_cast<int64_t>(hi - lo);
       continue;
     }
     if (seg_scan) {

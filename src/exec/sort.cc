@@ -66,12 +66,11 @@ Status SortPhysOp::SpillRun(Partial* partial) {
         run->AppendRow(ConcatRows(key, partial->rows[idx])));
   }
   BYPASS_RETURN_IF_ERROR(run->FinishWrite());
-  if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-    ++stats->sort_spill_runs;
-    ++stats->spill_files;
-    stats->spilled_rows += run->rows_written();
-    stats->spilled_bytes += run->bytes_written();
-  }
+  ExecStats* stats = ctx_->stats();
+  ++stats->sort_spill_runs;
+  ++stats->spill_files;
+  stats->spilled_rows += run->rows_written();
+  stats->spilled_bytes += run->bytes_written();
   partial->runs.push_back(std::move(run));
   partial->rows.clear();
   ctx_->ReleaseMemory(partial->charged);

@@ -86,7 +86,7 @@ Status ExecSubplan::Execute(const Row* outer_row) {
   // run is short.
   BYPASS_RETURN_IF_ERROR(ctx_.CheckBudget());
   num_executions_.fetch_add(1, std::memory_order_relaxed);
-  if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_executions;
+  ++ctx_.stats()->subquery_executions;
   ctx_.set_cancelled(false);
   ctx_.set_outer_row(outer_row);
   return RunPlan(&plan_, &ctx_);
@@ -101,7 +101,7 @@ Result<Value> ExecSubplan::EvalScalar(const Row* outer_row) {
     stripe = &StripeFor(outer_row, nullptr);
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const Value* hit = Lookup(stripe->scalar, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.stats()->subquery_cache_hits;
       return *hit;
     }
   }
@@ -111,7 +111,7 @@ Result<Value> ExecSubplan::EvalScalar(const Row* outer_row) {
     // one waited for the exec lock.
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const Value* hit = Lookup(stripe->scalar, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.stats()->subquery_cache_hits;
       return *hit;
     }
   }
@@ -146,7 +146,7 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
     stripe = &StripeFor(outer_row, nullptr);
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const bool* hit = Lookup(stripe->exists, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.stats()->subquery_cache_hits;
       return *hit;
     }
   }
@@ -154,7 +154,7 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const bool* hit = Lookup(stripe->exists, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.stats()->subquery_cache_hits;
       return *hit;
     }
   }
@@ -185,7 +185,7 @@ Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
     stripe = &StripeFor(outer_row, &probe);
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const TriBool* hit = stripe->in.Find(key)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.stats()->subquery_cache_hits;
       return *hit;
     }
   }
@@ -193,7 +193,7 @@ Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const TriBool* hit = stripe->in.Find(key)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.stats()->subquery_cache_hits;
       return *hit;
     }
   }

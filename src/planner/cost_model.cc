@@ -75,25 +75,15 @@ class Estimator : public StatsProvider {
   PlanEstimate Input(const LogicalInput& input) {
     PlanEstimate est = Node(*input.op);
     if (!est.port_rows.empty()) {
-      // Multiway producer: each edge carries its own port's cardinality;
-      // the shared operator cost rides on the port-0 edge only so fan-in
-      // consumers do not double-count it.
+      // Bypass producer: each edge carries its own port's cardinality;
+      // the shared operator cost rides on the port-0 edge only so
+      // consumers of several streams do not double-count it.
       const size_t port = static_cast<size_t>(input.port);
       est.rows = port < est.port_rows.size()
                      ? std::max(est.port_rows[port], 1.0)
                      : 1.0;
       if (port != 0) est.cost = 0;
-      est.neg_rows = 0;
       est.port_rows.clear();
-      return est;
-    }
-    if (input.port == StreamPort::kNegative) {
-      // The producer's estimate describes its positive stream; the
-      // negative stream carries the complement cardinality (neg_rows).
-      // The producer's cost is attributed to the positive-stream edge
-      // only, so consumers of both streams do not double-count it.
-      est.rows = std::max(est.neg_rows, 1.0);
-      est.cost = 0;
     }
     return est;
   }
@@ -160,29 +150,22 @@ class Estimator : public StatsProvider {
         return {in.rows * EstimateSelectivity(*sel.predicate(), this),
                 in.cost + upfront + in.rows * (1.0 + row_cost)};
       }
-      case LogicalOpKind::kBypassSelect: {
-        const auto& sel = static_cast<const BypassSelectOp&>(node);
-        const PlanEstimate in = Input(node.inputs()[0]);
-        double upfront = 0;
-        const double row_cost = PredicateRowCost(sel.predicate(),
-                                                 &upfront);
-        const double out =
-            in.rows * EstimateSelectivity(*sel.predicate(), this);
-        return {out, in.cost + upfront + in.rows * (1.0 + row_cost),
-                std::max(in.rows - out, 0.0)};
-      }
       case LogicalOpKind::kBypassPartition: {
         // One fused pass: the input is touched once (the 1.0 operator
         // constant), then disjunct i is evaluated only on rows the first
         // i-1 disjuncts left undecided — a cascade pays 1.0 + c_i per
         // level instead, so the tagged form saves the per-level operator
         // hand-off. Conditional selectivities keep correlated disjuncts
-        // from double-claiming rows.
+        // from double-claiming rows; a lone disjunct (σ±) has nothing to
+        // condition on and gets the estimate a plain σ_p would see.
         const auto& part = static_cast<const BypassPartitionOp&>(node);
         const PlanEstimate in = Input(node.inputs()[0]);
         const std::vector<double> cond =
-            EstimateConditionalDisjunctSelectivities(part.predicates(),
-                                                     this);
+            part.is_bypass_select()
+                ? std::vector<double>{EstimateSelectivity(
+                      *part.predicates()[0], this)}
+                : EstimateConditionalDisjunctSelectivities(
+                      part.predicates(), this);
         PlanEstimate est;
         est.cost = in.cost + in.rows;
         est.port_rows.assign(part.predicates().size() + 1, 0.0);
@@ -234,8 +217,9 @@ class Estimator : public StatsProvider {
         const double sel = EstimateSelectivity(*join.predicate(), this);
         // Both streams are produced by one nested-loop pass.
         const double pairs = l.rows * r.rows;
-        return {pairs * sel, l.cost + r.cost + pairs,
-                std::max(pairs * (1.0 - sel), 0.0)};
+        PlanEstimate est(pairs * sel, l.cost + r.cost + pairs);
+        est.port_rows = {est.rows, std::max(pairs * (1.0 - sel), 0.0)};
+        return est;
       }
       case LogicalOpKind::kLeftOuterJoin: {
         const auto& join = static_cast<const LeftOuterJoinOp&>(node);

@@ -19,17 +19,15 @@ namespace bypass {
 
 struct PlanEstimate {
   PlanEstimate() = default;
-  PlanEstimate(double rows_in, double cost_in, double neg_rows_in = 0)
-      : rows(rows_in), cost(cost_in), neg_rows(neg_rows_in) {}
+  PlanEstimate(double rows_in, double cost_in)
+      : rows(rows_in), cost(cost_in) {}
 
-  double rows = 0;  ///< estimated output cardinality (positive stream)
+  double rows = 0;  ///< estimated output cardinality (port 0)
   double cost = 0;  ///< estimated total work to produce it
-  /// Bypass operators only: estimated cardinality of the complement
-  /// (negative) stream. Zero elsewhere.
-  double neg_rows = 0;
-  /// Multiway (k-ported) operators only: per-port output cardinalities,
-  /// indexed by StreamPort value. Empty for binary/single-stream nodes.
-  /// The operator's cost is attributed to the port-0 edge only.
+  /// Multi-stream (bypass) operators only: per-port output
+  /// cardinalities, indexed by StreamPort value (entry 0 is the `rows`
+  /// stream). Empty for single-stream nodes. The operator's cost is
+  /// attributed to the port-0 edge only.
   std::vector<double> port_rows;
 };
 
@@ -42,8 +40,8 @@ struct PlanEstimate {
 PlanEstimate EstimatePlan(const LogicalOp& root, const Catalog* catalog,
                           std::vector<std::string>* notes = nullptr);
 
-/// Estimate for one input edge (negative bypass streams carry the
-/// complement cardinality).
+/// Estimate for one input edge (each bypass stream carries its own
+/// port's cardinality).
 PlanEstimate EstimateInput(const LogicalInput& input,
                            const Catalog* catalog);
 

@@ -57,7 +57,6 @@ Result<JoinKeep> MakeJoinKeep(const std::vector<int>& out,
 bool PassesInputSchema(LogicalOpKind kind) {
   switch (kind) {
     case LogicalOpKind::kSelect:
-    case LogicalOpKind::kBypassSelect:
     case LogicalOpKind::kBypassPartition:
     case LogicalOpKind::kDistinct:
     case LogicalOpKind::kLimit:
@@ -114,17 +113,12 @@ Result<PhysicalPlan> Planner::LowerPlan(const LogicalOpPtr& root,
     const auto it = estimates.find(logical);
     if (it == estimates.end()) continue;
     const PlanEstimate& est = it->second;
-    if (!est.port_rows.empty()) {
-      const int ports = std::min(phys->num_out_ports(),
-                                 static_cast<int>(est.port_rows.size()));
-      for (int p = 0; p < ports; ++p) {
-        phys->set_estimated_rows(p, est.port_rows[static_cast<size_t>(p)]);
-      }
-      continue;
-    }
+    // Port 0 reads `rows`, clamped to >= 1 like every operator's output.
     phys->set_estimated_rows(kPortOut, est.rows);
-    if (phys->num_out_ports() > 1) {
-      phys->set_estimated_rows(kPortNegative, est.neg_rows);
+    const int ports = std::min(phys->num_out_ports(),
+                               static_cast<int>(est.port_rows.size()));
+    for (int p = 1; p < ports; ++p) {
+      phys->set_estimated_rows(p, est.port_rows[static_cast<size_t>(p)]);
     }
   }
   return plan;
@@ -265,16 +259,6 @@ Result<PhysOp*> Planner::LowerNode(
       }
       result = Register(ctx,
                         std::make_unique<FilterOp>(std::move(pred)));
-      wire(result, 0, 0);
-      break;
-    }
-    case LogicalOpKind::kBypassSelect: {
-      const auto& sel = static_cast<const BypassSelectOp&>(*node);
-      BYPASS_ASSIGN_OR_RETURN(
-          ExprPtr pred,
-          BindExpr(sel.predicate(), phys(0), ctx));
-      result = Register(
-          ctx, std::make_unique<BypassFilterOp>(std::move(pred)));
       wire(result, 0, 0);
       break;
     }

@@ -196,10 +196,6 @@ void ResolveReads(Node* n) {
       MarkExprColumns(*static_cast<const SelectOp&>(node).predicate(),
                       schema(0), &n->reads[0]);
       break;
-    case LogicalOpKind::kBypassSelect:
-      MarkExprColumns(*static_cast<const BypassSelectOp&>(node).predicate(),
-                      schema(0), &n->reads[0]);
-      break;
     case LogicalOpKind::kBypassPartition:
       for (const ExprPtr& p :
            static_cast<const BypassPartitionOp&>(node).predicates()) {
@@ -339,7 +335,6 @@ class Pass {
       case LogicalOpKind::kProject:
         break;
       case LogicalOpKind::kSelect:
-      case LogicalOpKind::kBypassSelect:
       case LogicalOpKind::kBypassPartition:
       case LogicalOpKind::kLimit:
       case LogicalOpKind::kNumbering:
@@ -384,7 +379,6 @@ class Pass {
       case LogicalOpKind::kGroupBy:
         return AllPositions(width);
       case LogicalOpKind::kSelect:
-      case LogicalOpKind::kBypassSelect:
       case LogicalOpKind::kBypassPartition:
       case LogicalOpKind::kDistinct:
       case LogicalOpKind::kLimit:

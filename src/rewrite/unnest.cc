@@ -555,7 +555,8 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
           branches.push_back(align(
               Out(std::make_shared<SelectOp>(current, item.pred))));
         } else {
-          auto bp = std::make_shared<BypassSelectOp>(current, item.pred);
+          auto bp = std::make_shared<BypassPartitionOp>(
+              current, std::vector<ExprPtr>{item.pred});
           branches.push_back(align(Out(bp)));
           current = Neg(bp);
         }
@@ -573,8 +574,8 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
           branches.push_back(align(Out(std::make_shared<SelectOp>(
               Out(ext.stream), ext.link_pred))));
         } else {
-          auto bp = std::make_shared<BypassSelectOp>(Out(ext.stream),
-                                                     ext.link_pred);
+          auto bp = std::make_shared<BypassPartitionOp>(
+              Out(ext.stream), std::vector<ExprPtr>{ext.link_pred});
           branches.push_back(align(Out(bp)));
           // The negative stream still carries the helper columns ($g,
           // $t, ...); project them away before the next cascade stage.
@@ -785,7 +786,8 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
     // with fI, recombine with fO in a map.
     LogicalOpPtr s_rel = analysis.stripped;
     ExprPtr p = MakeOr(p_terms);  // all disjuncts are uncorrelated here
-    auto bp = std::make_shared<BypassSelectOp>(Out(s_rel), p->Clone());
+    auto bp = std::make_shared<BypassPartitionOp>(
+        Out(s_rel), std::vector<ExprPtr>{p->Clone()});
 
     const std::vector<AggregateSpec> partial_protos = MakePartialSpecs(f);
     std::vector<std::string> g1_names, g2_names;

@@ -29,8 +29,8 @@ ExprPtr Pred() {
 
 /// The Eqv. 2 shape: union of a bypass select's streams.
 LogicalOpPtr BypassDag() {
-  auto bp = std::make_shared<BypassSelectOp>(
-      LogicalInput{GetR(), StreamPort::kOut}, Pred());
+  auto bp = std::make_shared<BypassPartitionOp>(
+      LogicalInput{GetR(), StreamPort::kOut}, std::vector<ExprPtr>{Pred()});
   auto neg_filter = std::make_shared<SelectOp>(
       LogicalInput{bp, StreamPort::kNegative},
       MakeComparison(CompareOp::kEq, MakeColumnRef("r", "a1"),

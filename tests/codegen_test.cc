@@ -222,6 +222,27 @@ TEST(Codegen, DivisionStaysInterpreted) {
                        opts, /*expect_compiled=*/false);
 }
 
+// σ± is the k = 1 bypass partition: it compiles as one, yet never counts
+// as a tagged (k >= 2) partition.
+TEST(Codegen, CompiledBypassSelectIsNotTagged) {
+  Database db;
+  LoadSmallRst(&db, 96, 50, 25, 12, 0.2);
+  REQUIRE_CODEGEN(db);
+  const char* sql =
+      "SELECT * FROM r WHERE a1 < 2 "
+      "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)";
+  QueryOptions opts = CodegenOptions(1024);
+  auto prepared = db.Prepare(sql, opts);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  auto res = prepared->Execute(opts);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_NE(res->physical_plan.find("+ σ±,"), std::string::npos)
+      << res->physical_plan;
+  EXPECT_GT(res->stats.compiled_batches, 0);
+  EXPECT_EQ(res->stats.tagged_batches, 0);
+  ExpectCompiledAgrees(&db, sql, opts);
+}
+
 // Row-mode batches (enable_columnar = false) have no typed columns; the
 // compiled operator must detect that per batch and hand the batch to the
 // interpreted chain unchanged.

@@ -330,10 +330,11 @@ TEST_F(ColumnPruningEdge, SharedBypassNodeKeepsUnionOfPortDemands) {
       LogicalInput{r}, LogicalInput{s},
       MakeComparison(CompareOp::kEq, MakeColumnRef("r", "a1"),
                      MakeColumnRef("s", "b1")));
-  auto split = std::make_shared<BypassSelectOp>(
+  auto split = std::make_shared<BypassPartitionOp>(
       LogicalInput{join},
-      MakeComparison(CompareOp::kGt, MakeColumnRef("r", "a4"),
-                     MakeLiteral(Value::Int64(3))));
+      std::vector<ExprPtr>{
+          MakeComparison(CompareOp::kGt, MakeColumnRef("r", "a4"),
+                         MakeLiteral(Value::Int64(3)))});
   auto pos = std::make_shared<ProjectOp>(
       LogicalInput{split, StreamPort::kOut},
       std::vector<NamedExpr>{{MakeColumnRef("r", "a3"), "x", ""}});

@@ -103,6 +103,32 @@ TEST_F(CostModelTest, Eqv5PairStreamCanLoseToCanonical) {
   EXPECT_GT(Cost(sql, true) * 3, Cost(sql, false)) << sql;
 }
 
+TEST_F(CostModelTest, BypassJoinEdgesCarryTheirOwnStreamEstimates) {
+  LogicalOpPtr r = Translate("SELECT * FROM r");
+  LogicalOpPtr s = Translate("SELECT * FROM s");
+  const PlanEstimate left = EstimatePlan(*r, db_.catalog());
+  const PlanEstimate right = EstimatePlan(*s, db_.catalog());
+  auto join = std::make_shared<BypassJoinOp>(
+      LogicalInput{r}, LogicalInput{s},
+      MakeComparison(CompareOp::kEq, MakeColumnRef("r", "a2"),
+                     MakeColumnRef("s", "b2")));
+  const PlanEstimate pos =
+      EstimateInput(LogicalInput{join, StreamPort::kOut}, db_.catalog());
+  const PlanEstimate neg = EstimateInput(
+      LogicalInput{join, StreamPort::kNegative}, db_.catalog());
+  // One nested-loop pass over all pairs produces both streams; its cost
+  // rides on the positive edge only.
+  const double pairs = left.rows * right.rows;
+  EXPECT_DOUBLE_EQ(pos.cost, left.cost + right.cost + pairs);
+  EXPECT_DOUBLE_EQ(neg.cost, 0);
+  EXPECT_NEAR(pos.rows + neg.rows, pairs, 1e-9 * pairs);
+  EXPECT_GT(pos.rows, 1);
+  EXPECT_LT(pos.rows, neg.rows);  // an equality keeps few pairs
+  EXPECT_DOUBLE_EQ(EstimatePlan(*join, db_.catalog()).rows, pos.rows);
+  EXPECT_TRUE(pos.port_rows.empty());
+  EXPECT_TRUE(neg.port_rows.empty());
+}
+
 TEST_F(CostModelTest, CostBasedOptionKeepsCheaperPlan) {
   LoadSmallRst(&db_, 900, 30, 30, 10);
   const char* sql =

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/table.h"
+#include "exec/bypass_partition.h"
 #include "exec/distinct.h"
 #include "exec/executor.h"
 #include "exec/filter.h"
@@ -116,36 +117,56 @@ TEST(FilterOpTest, UnknownPredicateDropsRow) {
   EXPECT_EQ(plan.Run().size(), 1u);
 }
 
-TEST(BypassFilterOpTest, PartitionIsCompleteAndDisjoint) {
-  Table t = MakeTable("t", 1, {IntRow({1}), IntRow({5}), IntRow({3}),
-                               IntRow({5})});
-  // Collect both streams through a union to verify nothing is lost.
-  auto bypass = std::make_unique<BypassFilterOp>(GtLit(0, 2));
-  auto uni = std::make_unique<UnionAllOp>();
-  auto scan = std::make_unique<TableScanOp>(&t);
-  auto sink = std::make_unique<CollectorSink>();
-  scan->AddConsumer(kPortOut, bypass.get(), 0);
-  bypass->AddConsumer(kPortOut, uni.get(), 0);
-  bypass->AddConsumer(kPortNegative, uni.get(), 1);
-  uni->AddConsumer(kPortOut, sink.get(), 0);
-  MiniPlan mini;
-  mini.sink = sink.get();
-  mini.plan.sources.push_back(scan.get());
-  mini.plan.ops.push_back(std::move(scan));
-  mini.plan.ops.push_back(std::move(bypass));
-  mini.plan.ops.push_back(std::move(uni));
-  mini.plan.ops.push_back(std::move(sink));
-  auto rows = mini.Run();
-  EXPECT_TRUE(RowMultisetsEqual(rows, t.rows()));
+std::unique_ptr<BypassPartitionKOp> BypassSelect(ExprPtr predicate) {
+  std::vector<ExprPtr> preds;
+  preds.push_back(std::move(predicate));
+  return std::make_unique<BypassPartitionKOp>(std::move(preds));
 }
 
-TEST(BypassFilterOpTest, NegativeStreamGetsFalseAndUnknown) {
+TEST(BypassPartitionKOpTest, PartitionIsCompleteAndDisjoint) {
+  Table t = MakeTable("t", 1, {IntRow({1}), IntRow({5}), IntRow({3}),
+                               IntRow({5}), IntRow({0})});
+  // k = 1 is σ±; k = 3 adds overlapping disjuncts (first TRUE wins).
+  for (const size_t k : {1u, 3u}) {
+    std::vector<ExprPtr> preds;
+    for (size_t i = 0; i < k; ++i) {
+      preds.push_back(GtLit(0, static_cast<int64_t>(4 - 2 * i)));
+    }
+    // Collect every stream through a union to verify nothing is lost.
+    auto bypass = std::make_unique<BypassPartitionKOp>(std::move(preds));
+    auto uni = std::make_unique<UnionAllOp>(static_cast<int>(k) + 1);
+    auto scan = std::make_unique<TableScanOp>(&t);
+    auto sink = std::make_unique<CollectorSink>();
+    scan->AddConsumer(kPortOut, bypass.get(), 0);
+    for (size_t p = 0; p <= k; ++p) {
+      bypass->AddConsumer(static_cast<int>(p), uni.get(),
+                          static_cast<int>(p));
+    }
+    uni->AddConsumer(kPortOut, sink.get(), 0);
+    BypassPartitionKOp* op = bypass.get();
+    MiniPlan mini;
+    mini.sink = sink.get();
+    mini.plan.sources.push_back(scan.get());
+    mini.plan.ops.push_back(std::move(scan));
+    mini.plan.ops.push_back(std::move(bypass));
+    mini.plan.ops.push_back(std::move(uni));
+    mini.plan.ops.push_back(std::move(sink));
+    auto rows = mini.Run();
+    EXPECT_TRUE(RowMultisetsEqual(rows, t.rows())) << "k=" << k;
+    int64_t routed = 0;
+    for (size_t p = 0; p <= k; ++p) {
+      routed += op->rows_emitted(static_cast<int>(p));
+    }
+    EXPECT_EQ(routed, t.num_rows()) << "k=" << k;
+  }
+}
+
+TEST(BypassPartitionKOpTest, NegativeStreamGetsFalseAndUnknown) {
   Table t("t", IntSchema({"c0"}));
   ASSERT_TRUE(t.Append(Row{Value::Int64(9)}).ok());   // true → positive
   ASSERT_TRUE(t.Append(Row{Value::Int64(1)}).ok());   // false → negative
   ASSERT_TRUE(t.Append(Row{Value::Null()}).ok());     // unknown → negative
-  MiniPlan plan = UnaryPlan(
-      &t, std::make_unique<BypassFilterOp>(GtLit(0, 2)), kPortNegative);
+  MiniPlan plan = UnaryPlan(&t, BypassSelect(GtLit(0, 2)), kPortNegative);
   EXPECT_EQ(plan.Run().size(), 2u);
 }
 
@@ -277,9 +298,9 @@ TEST(BypassNLJoinOpTest, StreamsPartitionTheCrossProduct) {
   neg.plan.ops.push_back(std::move(scan_r));
   neg.plan.ops.push_back(std::move(op));
   neg.plan.ops.push_back(std::move(sink));
-  auto neg_rows = neg.Run();
+  auto negative = neg.Run();
   EXPECT_TRUE(RowMultisetsEqual(
-      neg_rows,
+      negative,
       {IntRow({1, 3}), IntRow({2, 1}), IntRow({2, 3})}));
 }
 
@@ -503,8 +524,8 @@ TEST(LimitPhysOpTest, StopsAfterCountAndCancels) {
 
 TEST(OperatorStatsTest, EmittedRowsPerPort) {
   Table t = MakeTable("t", 1, {IntRow({1}), IntRow({5}), IntRow({3})});
-  auto bypass_owner = std::make_unique<BypassFilterOp>(GtLit(0, 2));
-  BypassFilterOp* bypass = bypass_owner.get();
+  auto bypass_owner = BypassSelect(GtLit(0, 2));
+  BypassPartitionKOp* bypass = bypass_owner.get();
   MiniPlan plan = UnaryPlan(&t, std::move(bypass_owner), kPortOut);
   plan.Run();
   EXPECT_EQ(bypass->rows_emitted(kPortOut), 2);

@@ -71,6 +71,8 @@ void ExpectTaggedAgrees(Database* db, const std::string& sql,
       << "tagged rewrite did not fire\nsql: " << sql << "\nplan:\n"
       << tagged->optimized_plan;
   EXPECT_GT(tagged->stats.tagged_batches, 0) << "sql: " << sql;
+  // The cascade runs σ± (k = 1 partitions) only: nothing counts as tagged.
+  EXPECT_EQ(cascade->stats.tagged_batches, 0) << "sql: " << sql;
   // Each scanned row lands in exactly one of the k+1 streams.
   const int64_t routed = std::accumulate(
       tagged->stats.tagged_stream_rows.begin(),
